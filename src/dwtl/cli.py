@@ -173,8 +173,8 @@ def _cmd_solve(args) -> int:
     tt = parse_truth_table(args.tt)
     try:
         result = minimize_weights(tt) if args.minimize else solve_threshold(tt)
-    except NotThresholdError:
-        result = solve_threshold(tt)
+    except NotThresholdError as exc:
+        result = exc.certificate
     if isinstance(result, NotThreshold):
         _emit(
             args,

@@ -139,12 +139,13 @@ def nand_full_adder() -> Netlist:
 def adder_spec_tables(
     n_bits: int, input_order: tuple[str, ...] | None = None
 ) -> dict[str, TruthTable]:
-    """Per-output truth tables of n-bit addition, by direct integer arithmetic.
+    """Per-output truth tables of n-bit addition: ``adder_reference_patterns``
+    applied to the exhaustive input patterns.
 
     Row ordering follows ``input_order`` (default a0..b0..cin); only feasible
     while 2*n_bits + 1 stays within the table-size ceiling.
     """
-    names, out_names = adder_names(n_bits)
+    names, _ = adder_names(n_bits)
     if input_order is None:
         input_order = tuple(names)
     if sorted(input_order) != sorted(names):
@@ -152,22 +153,13 @@ def adder_spec_tables(
             f"input order {input_order} does not cover the adder inputs {names}"
         )
     n = len(input_order)
-    pos = {name: j for j, name in enumerate(input_order)}
-    bits_per_output = {name: 0 for name in out_names}
-    for row in range(1 << n):
-        a = sum(((row >> pos[f"a{i}"]) & 1) << i for i in range(n_bits))
-        b = sum(((row >> pos[f"b{i}"]) & 1) << i for i in range(n_bits))
-        total = a + b + ((row >> pos["cin"]) & 1)
-        for i in range(n_bits):
-            if (total >> i) & 1:
-                bits_per_output[f"sum{i}"] |= 1 << row
-        if (total >> n_bits) & 1:
-            bits_per_output["cout"] |= 1 << row
-    return {name: TruthTable(n, bits) for name, bits in bits_per_output.items()}
+    patterns = {name: input_pattern(j, n) for j, name in enumerate(input_order)}
+    outs = adder_reference_patterns(n_bits)(patterns, 1 << n)
+    return {name: TruthTable(n, bits) for name, bits in outs.items()}
 
 
 def adder_reference_patterns(n_bits: int):
-    """Bit-parallel addition oracle for sampled equivalence checks.
+    """Bit-parallel addition oracle for exhaustive and sampled equivalence checks.
 
     Returns a callable mapping packed input patterns to packed output
     patterns, computed with the carry recurrence sum = a ^ b ^ c,
@@ -187,10 +179,3 @@ def adder_reference_patterns(n_bits: int):
         return outs
 
     return reference
-
-
-def adder_input_patterns(n_bits: int) -> dict[str, int]:
-    """Exhaustive input patterns for the canonical adder input order."""
-    names, _ = adder_names(n_bits)
-    n = len(names)
-    return {name: input_pattern(j, n) for j, name in enumerate(names)}

@@ -26,6 +26,27 @@ class TieError(ValueError):
         self.assignment = assignment
 
 
+class TooLargeFanIn(ValueError):
+    def __init__(self, fan_in: int):
+        super().__init__(
+            f"fan-in {fan_in} exceeds the {MAX_INPUTS}-input exhaustive-sweep ceiling"
+        )
+
+
+def subset_sums(weights: Sequence[int], base: int = 0) -> list[int]:
+    """``base`` plus the weights of the inputs set in each row, indexed by row.
+
+    Row i adds ``weights[j]`` for every bit j set in i, the row order of
+    every truth table here.
+    """
+    if len(weights) > MAX_INPUTS:
+        raise TooLargeFanIn(len(weights))
+    sums = [base]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
 def bit_to_spin(bit: int) -> int:
     """Map logic 0/1 to spin -1/+1."""
     return 2 * (bit & 1) - 1
@@ -62,7 +83,7 @@ class SpinMinorityGate:
 
     @property
     def weight_magnitude_sum(self) -> int:
-        return sum(abs(w) for w in self.weights)
+        return sum(map(abs, self.weights))
 
     def eval(self, x: Sequence[int]) -> int:
         if len(x) != self.fan_in:
@@ -79,35 +100,27 @@ class SpinMinorityGate:
 
     def _spin_sums(self) -> list[int]:
         """Weighted spin sum for every assignment, indexed by row number."""
-        sums = [-sum(self.weights)]
-        for w in self.weights:
-            step = 2 * w
-            sums += [s + step for s in sums]
-        return sums
+        return subset_sums([2 * w for w in self.weights], -sum(self.weights))
 
     def truth_table(self) -> TruthTable:
-        if self.fan_in > MAX_INPUTS:
-            raise TooLargeFanIn(self.fan_in)
+        """Table of the gate; a gate that can tie raises at its lowest tie row."""
         bits = 0
-        if self.weight_magnitude_sum % 2 == 1:
-            for i, s in enumerate(self._spin_sums()):
-                if s > 0:
-                    bits |= 1 << i
-        else:
-            for i, s in enumerate(self._spin_sums()):
-                if s > 0:
-                    bits |= 1 << i
-                elif s == 0:
-                    raise TieError(
-                        f"tie at assignment {assignment_of(i, self.fan_in)}",
-                        assignment=assignment_of(i, self.fan_in),
-                    )
+        for i, s in enumerate(self._spin_sums()):
+            if s > 0:
+                bits |= 1 << i
+            elif s == 0:
+                raise TieError(
+                    f"tie at assignment {assignment_of(i, self.fan_in)}",
+                    assignment=assignment_of(i, self.fan_in),
+                )
         return TruthTable(self.fan_in, bits)
 
     def tie_assignments(self) -> list[tuple[int, ...]]:
-        """All assignments with zero spin sum; empty means the gate is usable."""
-        if self.fan_in > MAX_INPUTS:
-            raise TooLargeFanIn(self.fan_in)
+        """All assignments with zero spin sum; empty means the gate is usable.
+
+        An odd magnitude sum makes every spin sum odd, so such a gate never
+        ties, whatever its fan-in.
+        """
         if self.weight_magnitude_sum % 2 == 1:
             return []
         return [
@@ -138,13 +151,6 @@ class SpinMinorityGate:
         return SpinMinorityGate(tuple(-w for w in self.weights))
 
 
-class TooLargeFanIn(ValueError):
-    def __init__(self, fan_in: int):
-        super().__init__(
-            f"fan-in {fan_in} exceeds the {MAX_INPUTS}-input exhaustive-sweep ceiling"
-        )
-
-
 @dataclass(frozen=True)
 class ThresholdGate:
     """0/1-domain gate: output 1 iff sum(w_i * x_i) >= threshold."""
@@ -170,13 +176,8 @@ class ThresholdGate:
         return int(sum(w * (b & 1) for w, b in zip(self.weights, x)) >= self.threshold)
 
     def truth_table(self) -> TruthTable:
-        if self.fan_in > MAX_INPUTS:
-            raise TooLargeFanIn(self.fan_in)
-        sums = [0]
-        for w in self.weights:
-            sums += [s + w for s in sums]
         bits = 0
-        for i, s in enumerate(sums):
+        for i, s in enumerate(subset_sums(self.weights)):
             if s >= self.threshold:
                 bits |= 1 << i
         return TruthTable(self.fan_in, bits)

@@ -93,26 +93,11 @@ class Netlist:
         return errors
 
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
-        """Single-vector evaluation; gates run in definition order."""
-        values: dict[str, int] = {}
-        for name in self.inputs:
-            if name == CONST_ONE:
-                values[name] = 1
-                continue
+        """Single-vector evaluation: ``evaluate_patterns`` at width 1."""
+        for name in self.free_inputs:
             if name not in assignment:
                 raise NetlistError(f"missing value for input '{name}'")
-            values[name] = assignment[name] & 1
-        for gdef in self.gates:
-            x = [values[r] for r in gdef.refs]
-            try:
-                values[gdef.name] = gdef.gate.eval(x)
-            except TieError as exc:
-                raise TieError(
-                    f"gate '{gdef.name}': {exc}", assignment=exc.assignment
-                ) from exc
-        return {
-            o.name: values[o.ref] ^ (1 if o.invert else 0) for o in self.outputs
-        }
+        return self.evaluate_patterns(assignment, 1)
 
     def evaluate_patterns(
         self, patterns: Mapping[str, int], width: int
@@ -120,40 +105,33 @@ class Netlist:
         """Bit-parallel evaluation of ``width`` vectors packed into integers.
 
         ``patterns[name]`` holds input ``name`` across all vectors, one bit per
-        vector. Returns one packed integer per output.
+        vector. Returns one packed integer per output. A gate that can tie
+        raises ``TieError`` naming it, whether or not a vector hits the tie.
         """
         mask = (1 << width) - 1
         values: dict[str, int] = {}
         for name in self.inputs:
             values[name] = mask if name == CONST_ONE else patterns[name] & mask
         for gdef in self.gates:
-            tt = gdef.gate.truth_table()
-            srcs = [values[r] for r in gdef.refs]
-            on = tt.bits
-            invert_result = False
-            if 2 * tt.on_set_size() > tt.num_rows:
-                on = tt.complement().bits
-                invert_result = True
-            acc = 0
-            rows = on
-            while rows:
-                low = rows & -rows
-                i = low.bit_length() - 1
-                rows ^= low
-                term = mask
-                for j, src in enumerate(srcs):
-                    term &= src if (i >> j) & 1 else ~src
-                    if not term:
-                        break
-                acc |= term
-            values[gdef.name] = (acc ^ mask) if invert_result else acc & mask
+            srcs = [values.get(r) for r in gdef.refs]
+            if None in srcs or len(srcs) != gdef.gate.fan_in:
+                raise NetlistError(self.validate()[0])
+            ties = gdef.gate.tie_assignments()
+            if ties:
+                raise TieError(
+                    f"gate '{gdef.name}': tie at assignment {ties[0]}",
+                    assignment=ties[0],
+                )
+            values[gdef.name] = _positive_spin_sum(gdef.gate.weights, srcs, mask)
+        if any(o.ref not in values for o in self.outputs):
+            raise NetlistError(self.validate()[0])
         return {
             o.name: (values[o.ref] ^ mask) if o.invert else values[o.ref]
             for o in self.outputs
         }
 
-    def truth_tables(self) -> dict[str, TruthTable]:
-        """Exhaustive per-output tables over the free inputs, in input order."""
+    def _exhaustive_patterns(self) -> tuple[int, dict[str, int]]:
+        """Free-input count and the packed patterns of all 2^n rows."""
         names = self.free_inputs
         n = len(names)
         if n > MAX_INPUTS:
@@ -162,10 +140,45 @@ class Netlist:
             )
         if n == 0:
             raise NetlistError("netlist has no free inputs")
-        width = 1 << n
-        patterns = {name: input_pattern(j, n) for j, name in enumerate(names)}
-        outs = self.evaluate_patterns(patterns, width)
+        return n, {name: input_pattern(j, n) for j, name in enumerate(names)}
+
+    def truth_tables(self) -> dict[str, TruthTable]:
+        """Exhaustive per-output tables over the free inputs, in input order."""
+        n, patterns = self._exhaustive_patterns()
+        outs = self.evaluate_patterns(patterns, 1 << n)
         return {name: TruthTable(n, bits) for name, bits in outs.items()}
+
+
+def _positive_spin_sum(
+    weights: tuple[int, ...], srcs: list[int], mask: int
+) -> int:
+    """Packed output of a tie-free gate: 1 where its weighted spin sum is positive.
+
+    With y_j the input, complemented where w_j < 0, the spin sum is positive
+    iff sum(|w_j| * y_j) > sum(|w_j|) / 2. That sum is added up bit-sliced,
+    one packed integer per binary digit, and compared with the bound from the
+    top digit down, so the cost does not grow with 2^fan-in.
+    """
+    total = sum(map(abs, weights))
+    bound = total // 2 + 1
+    digits = [0] * total.bit_length()
+    for w, src in zip(weights, srcs):
+        y = src if w > 0 else src ^ mask
+        w = abs(w)
+        for k in range(w.bit_length()):
+            carry = y if (w >> k) & 1 else 0
+            i = k
+            while carry:
+                digits[i], carry = digits[i] ^ carry, digits[i] & carry
+                i += 1
+    greater, equal = 0, mask
+    for k in reversed(range(len(digits))):
+        if (bound >> k) & 1:
+            equal &= digits[k]
+        else:
+            greater |= equal & digits[k]
+            equal &= ~digits[k]
+    return greater | equal
 
 
 @dataclass(frozen=True)
@@ -209,23 +222,9 @@ def check_equivalence(
                 f"spec table for '{name}' has {tt.num_inputs} inputs, "
                 f"netlist has {n}"
             )
-    got = net.truth_tables()
-    best: tuple[int, str, int, int] | None = None
-    for name in out_names:
-        diff = got[name].bits ^ spec[name].bits
-        if diff:
-            idx = (diff & -diff).bit_length() - 1
-            if best is None or idx < best[0]:
-                best = (idx, name, got[name].bit(idx), spec[name].bit(idx))
-    if best is None:
-        return EquivalenceResult(True, "exhaustive", 1 << n)
-    idx, name, g, w = best
-    assignment = {
-        inp: (idx >> j) & 1 for j, inp in enumerate(net.free_inputs)
-    }
-    return EquivalenceResult(
-        False, "exhaustive", 1 << n, Counterexample(assignment, name, g, w)
-    )
+    n, patterns = net._exhaustive_patterns()
+    want = {name: tt.bits for name, tt in spec.items()}
+    return _compare(net, patterns, 1 << n, want, "exhaustive")
 
 
 def check_equivalence_sampled(
@@ -251,10 +250,26 @@ def check_equivalence_sampled(
         p |= 1 << (num_vectors + 1)
         p |= 1 << (num_vectors + 2 + j)
         patterns[name] = p
-    got = net.evaluate_patterns(patterns, width)
     want = reference(patterns, width)
-    if set(got) != set(want):
+    if set(want) != {o.name for o in net.outputs}:
         raise NetlistError("reference output names do not match netlist outputs")
+    return _compare(net, patterns, width, want, "random", seed)
+
+
+def _compare(
+    net: Netlist,
+    patterns: Mapping[str, int],
+    width: int,
+    want: Mapping[str, int],
+    mode: str,
+    seed: int | None = None,
+) -> EquivalenceResult:
+    """Evaluate ``net`` on packed patterns and compare with ``want`` per output.
+
+    The counterexample, if any, is the lowest disagreeing vector; ties across
+    outputs resolve to the earliest output in declaration order.
+    """
+    got = net.evaluate_patterns(patterns, width)
     best: tuple[int, str] | None = None
     for o in net.outputs:
         diff = got[o.name] ^ want[o.name]
@@ -263,12 +278,12 @@ def check_equivalence_sampled(
             if best is None or idx < best[0]:
                 best = (idx, o.name)
     if best is None:
-        return EquivalenceResult(True, "random", width, seed=seed)
+        return EquivalenceResult(True, mode, width, seed=seed)
     idx, name = best
-    assignment = {inp: (patterns[inp] >> idx) & 1 for inp in names}
+    assignment = {inp: (patterns[inp] >> idx) & 1 for inp in net.free_inputs}
     return EquivalenceResult(
         False,
-        "random",
+        mode,
         width,
         Counterexample(
             assignment, name, (got[name] >> idx) & 1, (want[name] >> idx) & 1

@@ -22,6 +22,7 @@ from .table import MAX_INPUTS, TruthTable
 
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 WEIGHT_RE = re.compile(r"^w=(-?\d+):([A-Za-z_][A-Za-z0-9_]*)$")
+TOKEN_RE = re.compile(r"\S+")
 TT_RE = re.compile(r"^\s*(\d+):(?:0[xX])?([0-9a-fA-F]+)\s*$")
 
 
@@ -35,113 +36,107 @@ class ParseError(ValueError):
         self.reason = message
 
 
-def _column_of(raw: str, token: str, occurrence: int = 0) -> int:
-    pos = -1
-    for _ in range(occurrence + 1):
-        pos = raw.find(token, pos + 1)
-        if pos < 0:
-            return 1
-    return pos + 1
-
-
 def parse_netlist(text: str) -> Netlist:
     inputs: list[str] = []
     gates: list[GateDef] = []
     outputs: list[OutputDef] = []
     defined: set[str] = set()
     out_names: set[str] = set()
-    def_lines: dict[str, int] = {}
-
-    def err(lineno: int, raw: str, token: str, message: str) -> ParseError:
-        return ParseError(lineno, _column_of(raw, token), message)
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        found = list(TOKEN_RE.finditer(raw.split("#", 1)[0]))
+        if not found:
             continue
-        tokens = line.split()
+        tokens = [m.group() for m in found]
+        cols = [m.start() + 1 for m in found]
         kind = tokens[0]
 
         if kind == "input":
             if len(tokens) != 2:
-                raise err(lineno, raw, kind, "expected: input <name>")
+                raise ParseError(lineno, cols[0], "expected: input <name>")
             name = tokens[1]
             if not NAME_RE.match(name):
-                raise err(lineno, raw, name, f"invalid name '{name}'")
+                raise ParseError(lineno, cols[1], f"invalid name '{name}'")
             if name in defined:
-                raise err(lineno, raw, name, f"duplicate name '{name}'")
+                raise ParseError(lineno, cols[1], f"duplicate name '{name}'")
             inputs.append(name)
             defined.add(name)
-            def_lines[name] = lineno
 
         elif kind == "gate":
             if len(tokens) < 3:
-                raise err(lineno, raw, kind, "expected: gate <name> ...")
+                raise ParseError(lineno, cols[0], "expected: gate <name> ...")
             name = tokens[1]
             if not NAME_RE.match(name):
-                raise err(lineno, raw, name, f"invalid name '{name}'")
+                raise ParseError(lineno, cols[1], f"invalid name '{name}'")
             if name in defined:
-                raise err(lineno, raw, name, f"duplicate name '{name}'")
+                raise ParseError(lineno, cols[1], f"duplicate name '{name}'")
             if tokens[2] == "min":
                 refs = tokens[3:]
+                ref_cols = cols[3:]
                 if len(refs) != 3:
-                    raise err(lineno, raw, "min", "min gate takes exactly 3 refs")
+                    raise ParseError(lineno, cols[2], "min gate takes exactly 3 refs")
                 weights = (-1, -1, -1)
             else:
-                refs = []
-                weights_list = []
-                for tok in tokens[2:]:
+                refs, ref_cols, weights_list = [], [], []
+                for tok, col in zip(tokens[2:], cols[2:]):
                     m = WEIGHT_RE.match(tok)
                     if not m:
-                        raise err(
-                            lineno, raw, tok, f"expected w=<int>:<ref>, got '{tok}'"
+                        raise ParseError(
+                            lineno, col, f"expected w=<int>:<ref>, got '{tok}'"
                         )
                     w = int(m.group(1))
                     if w == 0:
-                        raise err(lineno, raw, tok, "zero weight")
+                        raise ParseError(lineno, col, "zero weight")
                     weights_list.append(w)
                     refs.append(m.group(2))
+                    ref_cols.append(col + m.start(2))
                 weights = tuple(weights_list)
-            for ref in refs:
+            for ref, col in zip(refs, ref_cols):
                 if ref not in defined:
-                    raise err(lineno, raw, ref, f"unknown reference '{ref}'")
-            gates.append(GateDef(name, SpinMinorityGate(weights), tuple(refs)))
+                    raise ParseError(lineno, col, f"unknown reference '{ref}'")
+            if len(refs) > MAX_INPUTS:
+                raise ParseError(
+                    lineno,
+                    cols[1],
+                    f"gate '{name}': fan-in {len(refs)} exceeds the "
+                    f"{MAX_INPUTS}-input ceiling",
+                )
+            gate = SpinMinorityGate(weights)
+            ties = gate.tie_assignments()
+            if ties:
+                raise ParseError(
+                    lineno, cols[1], f"gate '{name}': tie at assignment {ties[0]}"
+                )
+            gates.append(GateDef(name, gate, tuple(refs)))
             defined.add(name)
-            def_lines[name] = lineno
 
         elif kind == "output":
             if len(tokens) != 4 or tokens[2] != "=":
-                raise err(lineno, raw, kind, "expected: output <name> = [!]<ref>")
+                raise ParseError(
+                    lineno, cols[0], "expected: output <name> = [!]<ref>"
+                )
             name = tokens[1]
             if not NAME_RE.match(name):
-                raise err(lineno, raw, name, f"invalid name '{name}'")
+                raise ParseError(lineno, cols[1], f"invalid name '{name}'")
             if name in out_names:
-                raise err(lineno, raw, name, f"duplicate output name '{name}'")
+                raise ParseError(lineno, cols[1], f"duplicate output name '{name}'")
             target = tokens[3]
             invert = target.startswith("!")
             ref = target[1:] if invert else target
             if not NAME_RE.match(ref):
-                raise err(lineno, raw, target, f"invalid reference '{ref}'")
+                raise ParseError(lineno, cols[3], f"invalid reference '{ref}'")
             if ref not in defined:
-                raise err(lineno, raw, target, f"unknown reference '{ref}'")
+                raise ParseError(lineno, cols[3], f"unknown reference '{ref}'")
             outputs.append(OutputDef(name, ref, invert))
             out_names.add(name)
 
         else:
-            raise err(lineno, raw, kind, f"unknown statement '{kind}'")
+            raise ParseError(lineno, cols[0], f"unknown statement '{kind}'")
 
     if not outputs:
         raise ParseError(max(1, text.count("\n") + 1), 1, "netlist has no outputs")
 
-    net = Netlist(tuple(inputs), tuple(gates), tuple(outputs))
-    problems = net.validate()
-    if problems:
-        # map the first problem back to the defining line where possible
-        first = problems[0]
-        m = re.search(r"'([A-Za-z_][A-Za-z0-9_]*)'", first)
-        line = def_lines.get(m.group(1), 1) if m else 1
-        raise ParseError(line, 1, first)
-    return net
+    return Netlist(tuple(inputs), tuple(gates), tuple(outputs))
 
 
 def print_netlist(net: Netlist) -> str:
@@ -169,9 +164,7 @@ def parse_truth_table(text: str) -> TruthTable:
         raise ParseError(1, 1, f"input count {n} out of range 1..{MAX_INPUTS}")
     value = int(m.group(2), 16)
     if value >= 1 << (1 << n):
-        raise ParseError(
-            1, _column_of(text, m.group(2)), f"table value out of range for n={n}"
-        )
+        raise ParseError(1, m.start(2) + 1, f"table value out of range for n={n}")
     return TruthTable(n, value)
 
 

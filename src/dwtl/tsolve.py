@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Union
 
-from .gates import ThresholdGate
+from .gates import ThresholdGate, subset_sums
 from .table import TruthTable, assignment_of, input_pattern
 
 SOLVE_MAX_INPUTS = 10
@@ -24,7 +24,14 @@ ENUMERATE_MAX_INPUTS = 4
 
 
 class NotThresholdError(ValueError):
-    """Raised when an operation requires a threshold function and got none."""
+    """Raised when an operation requires a threshold function and got none.
+
+    ``certificate`` is the LP's proof that the table is not threshold.
+    """
+
+    def __init__(self, certificate: NotThreshold):
+        super().__init__("function is not a threshold function")
+        self.certificate = certificate
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
         )
     probe = solve_threshold(tt)
     if isinstance(probe, NotThreshold):
-        raise NotThresholdError("function is not a threshold function")
+        raise NotThresholdError(probe)
 
     B = 0
     while True:
@@ -265,9 +272,7 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
             s = sum(abs(v) for v in w)
             if best is not None and s > best[0]:
                 continue
-            sums = [0]
-            for wj in w:
-                sums += [v + wj for v in sums]
+            sums = subset_sums(w)
             t_max = n * B + 1
             min_on = t_max  # T may not exceed the allowed ceiling
             max_off = -n * B - 1  # T floor is -n*B

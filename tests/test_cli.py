@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dwtl.tsolve
 from dwtl.cli import run
 
 
@@ -38,6 +39,17 @@ def test_report_fig2b(fa3, capsys):
 def test_solve_xor_not_threshold(capsys):
     assert run(["solve", "--tt", "2:0x6"]) == 1
     assert "NOT THRESHOLD" in capsys.readouterr().out
+
+
+def test_solve_minimize_not_threshold_runs_lp_once(monkeypatch, capsys):
+    calls = []
+    lp = dwtl.tsolve._phase1_simplex
+    monkeypatch.setattr(
+        dwtl.tsolve, "_phase1_simplex", lambda tt: calls.append(tt) or lp(tt)
+    )
+    assert run(["solve", "--tt", "2:0x6", "--minimize"]) == 1
+    assert "NOT THRESHOLD" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_solve_and2(capsys):

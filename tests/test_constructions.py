@@ -62,6 +62,22 @@ def test_weighted_sum_gate_composed_table():
     assert net.truth_tables()["nsum"].bits == 0x69
 
 
+def test_adder_spec_tables_shuffled_order_match_integer_addition():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        order = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)] + ["cin"]
+        rng.shuffle(order)
+        tables = adder_spec_tables(n, tuple(order))
+        for row in range(1 << len(order)):
+            x = {name: (row >> j) & 1 for j, name in enumerate(order)}
+            a = sum(x[f"a{i}"] << i for i in range(n))
+            b = sum(x[f"b{i}"] << i for i in range(n))
+            total = a + b + x["cin"]
+            for i in range(n):
+                assert tables[f"sum{i}"].bit(row) == (total >> i) & 1
+            assert tables["cout"].bit(row) == (total >> n) & 1
+
+
 def test_ripple_gate_counts():
     assert ripple_adder(3).gate_count == 6
     assert ripple_adder(1).gate_count == 2

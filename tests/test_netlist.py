@@ -49,6 +49,11 @@ def test_forward_reference_reported():
     )
     errors = net.validate()
     assert any("forward reference" in e for e in errors)
+    with pytest.raises(NetlistError, match="gate 'g1'.*'g2'"):
+        net.evaluate({"a": 0, "b": 0, "c": 0})
+    dangling = Netlist(net.inputs, net.gates[1:], (OutputDef("y", "zzz"),))
+    with pytest.raises(NetlistError, match="output 'y'.*'zzz'"):
+        dangling.truth_tables()
 
 
 def test_tie_prone_gate_reported():
@@ -100,6 +105,59 @@ def test_evaluate_tie_names_gate():
     with pytest.raises(TieError) as exc:
         net.evaluate({"a": 0, "b": 1})
     assert "gx" in str(exc.value)
+
+
+def test_evaluate_refuses_tie_prone_gate_off_the_tie():
+    # wired to (a, a) the spin sum is never zero, but the gate can tie
+    net = Netlist(
+        inputs=("a",),
+        gates=(GateDef("gx", SpinMinorityGate((-1, -1)), ("a", "a")),),
+        outputs=(OutputDef("y", "gx"),),
+    )
+    with pytest.raises(TieError, match="gx"):
+        net.evaluate({"a": 1})
+
+
+def test_ref_count_mismatch_names_gate():
+    net = Netlist(
+        inputs=("a", "b", "c"),
+        gates=(GateDef("g1", MIN3, ("a", "b")),),
+        outputs=(OutputDef("y", "g1"),),
+    )
+    with pytest.raises(NetlistError, match="gate 'g1': 2 refs for fan-in 3"):
+        net.evaluate({"a": 0, "b": 0, "c": 0})
+    with pytest.raises(NetlistError, match="gate 'g1': 2 refs for fan-in 3"):
+        net.truth_tables()
+
+
+def test_packed_evaluation_matches_gate_eval():
+    # the bit-sliced weighted sum against the gate's own per-vector spin sum
+    rng = random.Random(11)
+    magnitudes = [1, 2, 3, 5, 8, 1 << 40]
+    checked = 0
+    while checked < 100:
+        n = rng.randint(1, 6)
+        gate = SpinMinorityGate(
+            tuple(rng.choice((-1, 1)) * rng.choice(magnitudes) for _ in range(n))
+        )
+        if not gate.is_well_defined():
+            continue
+        net = single_gate_net(gate, n)
+        patterns = {name: rng.getrandbits(64) for name in net.inputs}
+        got = net.evaluate_patterns(patterns, 64)["y"]
+        for v in range(64):
+            x = [(patterns[name] >> v) & 1 for name in net.inputs]
+            assert (got >> v) & 1 == gate.eval(x)
+        checked += 1
+
+
+def test_evaluate_wide_gate_without_its_table():
+    # 2^24 rows would take minutes to tabulate; one vector needs only the sum
+    gate = SpinMinorityGate((-1,) * 23 + (2,))
+    net = single_gate_net(gate, 24)
+    for ones in (0, 12, 13, 24):
+        x = {name: int(j < ones) for j, name in enumerate(net.inputs)}
+        assert net.evaluate(x) == {"y": gate.eval(list(x.values()))}
 
 
 def test_truth_tables_adder():

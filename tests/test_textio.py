@@ -87,6 +87,21 @@ def test_unknown_reference_rejected():
     assert exc.value.line == 3
 
 
+def test_error_column_is_the_offending_token():
+    # each name also occurs earlier on its line, inside a keyword or a token
+    cases = [
+        ("input p\ninput p\n", (2, 7), "duplicate name 'p'"),
+        ("input x\ngate g w=-1:x w=1:e\n", (2, 19), "unknown reference 'e'"),
+        ("input a\ngate mine min a a\n", (2, 11), "exactly 3 refs"),
+        ("input t\noutput t = !u\n", (2, 12), "unknown reference 'u'"),
+    ]
+    for text, position, reason in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_netlist(text)
+        assert reason in exc.value.reason
+        assert (exc.value.line, exc.value.column) == position
+
+
 def test_duplicate_name_rejected():
     with pytest.raises(ParseError) as exc:
         parse_netlist("input a\ninput a\ngate g w=-1:a\noutput y = g\n")
@@ -108,7 +123,17 @@ def test_tie_gate_rejected_at_parse():
     with pytest.raises(ParseError) as exc:
         parse_netlist("input a\ninput b\ngate g w=-1:a w=-1:b\noutput y = g\n")
     assert "tie" in str(exc.value)
-    assert exc.value.line == 3
+    assert (exc.value.line, exc.value.column) == (3, 6)
+
+
+def test_fan_in_above_ceiling_rejected_at_parse():
+    refs = " ".join(f"w=-1:x{i}" for i in range(25))
+    text = "".join(f"input x{i}\n" for i in range(25))
+    text += f"gate  big {refs}\noutput y = big\n"
+    with pytest.raises(ParseError) as exc:
+        parse_netlist(text)
+    assert "fan-in 25" in exc.value.reason
+    assert (exc.value.line, exc.value.column) == (26, 7)
 
 
 def test_parse_truth_table_examples():
