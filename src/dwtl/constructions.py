@@ -8,11 +8,11 @@ inversion is a free flag on the netlist, never a gate.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .gates import SpinMinorityGate
 from .netlist import CONST_ONE, GateDef, Netlist, OutputDef
-from .table import TruthTable, input_pattern
+from .table import TruthTable, input_patterns
 
 MAX_ADDER_BITS = 64
 
@@ -40,8 +40,16 @@ def adder_names(n_bits: int) -> tuple[list[str], list[str]]:
     return inputs, outputs
 
 
-def minority_adder(n_bits: int) -> Netlist:
-    """Ripple adder from three-gate minority blocks (three gates per bit)."""
+def _ripple(
+    n_bits: int, sum_cell: Callable[[int, int, str], list[GateDef]]
+) -> Netlist:
+    """Carry chain shared by the minority-gate adders.
+
+    Bit i's gate g1_i = MIN3(a_i, b_i, carry) holds the complement of
+    carry-out; ``sum_cell(i, cw, carry_ref)`` returns the bit's remaining
+    gates, the last of which holds the complement of the sum bit. ``cw`` is
+    the weight that reads ``carry_ref`` as a minority input.
+    """
     inputs, _ = adder_names(n_bits)
     gates: list[GateDef] = []
     outputs: list[OutputDef] = []
@@ -50,20 +58,28 @@ def minority_adder(n_bits: int) -> Netlist:
     for i in range(n_bits):
         cw = -1 if carry_direct else 1
         g1 = f"g1_{i}"
-        g2 = f"g2_{i}"
-        g3 = f"g3_{i}"
         gates.append(
             GateDef(g1, SpinMinorityGate((-1, -1, cw)), (f"a{i}", f"b{i}", carry_ref))
         )
-        gates.append(GateDef(g2, MIN3, (f"a{i}", f"b{i}", g1)))
-        gates.append(
-            GateDef(g3, SpinMinorityGate((cw, -1, 1)), (carry_ref, g1, g2))
-        )
-        outputs.append(OutputDef(f"sum{i}", g3, invert=True))
+        gates += sum_cell(i, cw, carry_ref)
+        outputs.append(OutputDef(f"sum{i}", gates[-1].name, invert=True))
         carry_ref = g1  # holds the complement of carry-out
         carry_direct = False
     outputs.append(OutputDef("cout", carry_ref, invert=True))
     return Netlist(tuple(inputs), tuple(gates), tuple(outputs))
+
+
+def minority_adder(n_bits: int) -> Netlist:
+    """Ripple adder from three-gate minority blocks (three gates per bit)."""
+
+    def sum_cell(i: int, cw: int, carry_ref: str) -> list[GateDef]:
+        g1, g2 = f"g1_{i}", f"g2_{i}"
+        return [
+            GateDef(g2, MIN3, (f"a{i}", f"b{i}", g1)),
+            GateDef(f"g3_{i}", SpinMinorityGate((cw, -1, 1)), (carry_ref, g1, g2)),
+        ]
+
+    return _ripple(n_bits, sum_cell)
 
 
 def minority_full_adder() -> Netlist:
@@ -73,30 +89,17 @@ def minority_full_adder() -> Netlist:
 
 def ripple_adder(n_bits: int) -> Netlist:
     """Ripple adder with two gates per bit using the double-weight sum gate."""
-    inputs, _ = adder_names(n_bits)
-    gates: list[GateDef] = []
-    outputs: list[OutputDef] = []
-    carry_ref = "cin"
-    carry_direct = True
-    for i in range(n_bits):
-        cw = -1 if carry_direct else 1
-        g1 = f"g1_{i}"
-        g2 = f"g2_{i}"
-        gates.append(
-            GateDef(g1, SpinMinorityGate((-1, -1, cw)), (f"a{i}", f"b{i}", carry_ref))
-        )
-        gates.append(
+
+    def sum_cell(i: int, cw: int, carry_ref: str) -> list[GateDef]:
+        return [
             GateDef(
-                g2,
+                f"g2_{i}",
                 SpinMinorityGate((-1, -1, cw, -2)),
-                (f"a{i}", f"b{i}", carry_ref, g1),
+                (f"a{i}", f"b{i}", carry_ref, f"g1_{i}"),
             )
-        )
-        outputs.append(OutputDef(f"sum{i}", g2, invert=True))
-        carry_ref = g1
-        carry_direct = False
-    outputs.append(OutputDef("cout", carry_ref, invert=True))
-    return Netlist(tuple(inputs), tuple(gates), tuple(outputs))
+        ]
+
+    return _ripple(n_bits, sum_cell)
 
 
 def nand_adder(n_bits: int) -> Netlist:
@@ -153,7 +156,7 @@ def adder_spec_tables(
             f"input order {input_order} does not cover the adder inputs {names}"
         )
     n = len(input_order)
-    patterns = {name: input_pattern(j, n) for j, name in enumerate(input_order)}
+    patterns = dict(zip(input_order, input_patterns(n)))
     outs = adder_reference_patterns(n_bits)(patterns, 1 << n)
     return {name: TruthTable(n, bits) for name, bits in outs.items()}
 

@@ -3,15 +3,17 @@
 A spin-minority gate sums weighted +/-1 spins and outputs 1 when the sum is
 positive; logic 1 maps to spin +1, logic 0 to spin -1. Negative weights invert
 their input for free. The 0/1-domain threshold gate is the derived canonical
-form used by the weight solver.
+form used by the weight solver. Both gates' truth tables, the tie check and
+netlist evaluation go through one bit-sliced weighted-sum comparator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .table import MAX_INPUTS, TruthTable, assignment_of
+from .table import TruthTable, assignment_of, input_patterns
 
 
 class ArityError(ValueError):
@@ -26,25 +28,41 @@ class TieError(ValueError):
         self.assignment = assignment
 
 
-class TooLargeFanIn(ValueError):
-    def __init__(self, fan_in: int):
-        super().__init__(
-            f"fan-in {fan_in} exceeds the {MAX_INPUTS}-input exhaustive-sweep ceiling"
-        )
+def _weighted_at_least(
+    weights: Sequence[int], srcs: Sequence[int], mask: int, bound: int
+) -> int:
+    """Packed rows of ``mask`` where sum(|w_j| * y_j) >= bound.
 
-
-def subset_sums(weights: Sequence[int], base: int = 0) -> list[int]:
-    """``base`` plus the weights of the inputs set in each row, indexed by row.
-
-    Row i adds ``weights[j]`` for every bit j set in i, the row order of
-    every truth table here.
+    y_j is source j, complemented where w_j < 0; zero weights add nothing.
+    The sum is added up bit-sliced, one packed integer per binary digit, and
+    compared with ``bound`` from the top digit down, so the cost grows with
+    fan-in and log sum|w|, not with the number of rows.
     """
-    if len(weights) > MAX_INPUTS:
-        raise TooLargeFanIn(len(weights))
-    sums = [base]
-    for w in weights:
-        sums += [s + w for s in sums]
-    return sums
+    if bound <= 0:
+        return mask
+    digits = [0] * max(bound, sum(map(abs, weights))).bit_length()
+    for w, src in zip(weights, srcs):
+        y = src if w > 0 else src ^ mask
+        w = abs(w)
+        for k in range(w.bit_length()):
+            carry = y if (w >> k) & 1 else 0
+            i = k
+            while carry:
+                digits[i], carry = digits[i] ^ carry, digits[i] & carry
+                i += 1
+    greater, equal = 0, mask
+    for k in reversed(range(len(digits))):
+        if (bound >> k) & 1:
+            equal &= digits[k]
+        else:
+            greater |= equal & digits[k]
+            equal &= ~digits[k]
+    return greater | equal
+
+
+def _all_rows(fan_in: int) -> tuple[list[int], int]:
+    """Packed input patterns and row mask of an exhaustive sweep."""
+    return input_patterns(fan_in), (1 << (1 << fan_in)) - 1
 
 
 def bit_to_spin(bit: int) -> int:
@@ -81,7 +99,7 @@ class SpinMinorityGate:
     def fan_in(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property  # read by every tie check and evaluation; weights are frozen
     def weight_magnitude_sum(self) -> int:
         return sum(map(abs, self.weights))
 
@@ -98,35 +116,44 @@ class SpinMinorityGate:
             assignment=tuple(x),
         )
 
-    def _spin_sums(self) -> list[int]:
-        """Weighted spin sum for every assignment, indexed by row number."""
-        return subset_sums([2 * w for w in self.weights], -sum(self.weights))
+    def eval_patterns(self, srcs: Sequence[int], mask: int) -> int:
+        """Packed output over packed input patterns: 1 where the spin sum is positive.
+
+        With y_j the input, complemented where w_j < 0, the spin sum is
+        positive iff sum(|w_j| * y_j) > sum(|w_j|) / 2. A row where the gate
+        ties reads 0, so callers refuse tie-prone gates first.
+        """
+        return _weighted_at_least(
+            self.weights, srcs, mask, self.weight_magnitude_sum // 2 + 1
+        )
+
+    def _refuse_ties(self) -> None:
+        ties = self.tie_assignments()
+        if ties:
+            raise TieError(f"tie at assignment {ties[0]}", assignment=ties[0])
 
     def truth_table(self) -> TruthTable:
         """Table of the gate; a gate that can tie raises at its lowest tie row."""
-        bits = 0
-        for i, s in enumerate(self._spin_sums()):
-            if s > 0:
-                bits |= 1 << i
-            elif s == 0:
-                raise TieError(
-                    f"tie at assignment {assignment_of(i, self.fan_in)}",
-                    assignment=assignment_of(i, self.fan_in),
-                )
-        return TruthTable(self.fan_in, bits)
+        self._refuse_ties()
+        return TruthTable(self.fan_in, self.eval_patterns(*_all_rows(self.fan_in)))
 
     def tie_assignments(self) -> list[tuple[int, ...]]:
-        """All assignments with zero spin sum; empty means the gate is usable.
+        """Assignments with zero spin sum, ascending; empty means the gate is usable.
 
         An odd magnitude sum makes every spin sum odd, so such a gate never
-        ties, whatever its fan-in.
+        ties, whatever its fan-in. Otherwise the ties are the rows where
+        sum(|w_j| * y_j) reaches exactly half the magnitude sum.
         """
-        if self.weight_magnitude_sum % 2 == 1:
+        total = self.weight_magnitude_sum
+        if total % 2 == 1:
             return []
+        srcs, mask = _all_rows(self.fan_in)
+        ties = _weighted_at_least(self.weights, srcs, mask, total // 2)
+        ties ^= self.eval_patterns(srcs, mask)
         return [
             assignment_of(i, self.fan_in)
-            for i, s in enumerate(self._spin_sums())
-            if s == 0
+            for i, bit in enumerate(f"{ties:b}"[::-1])
+            if bit == "1"
         ]
 
     def is_well_defined(self) -> bool:
@@ -145,9 +172,7 @@ class SpinMinorityGate:
 
     def complemented(self) -> "SpinMinorityGate":
         """Gate with all weight signs flipped; its table is the bitwise complement."""
-        ties = self.tie_assignments()
-        if ties:
-            raise TieError(f"tie at assignment {ties[0]}", assignment=ties[0])
+        self._refuse_ties()
         return SpinMinorityGate(tuple(-w for w in self.weights))
 
 
@@ -176,8 +201,8 @@ class ThresholdGate:
         return int(sum(w * (b & 1) for w, b in zip(self.weights, x)) >= self.threshold)
 
     def truth_table(self) -> TruthTable:
-        bits = 0
-        for i, s in enumerate(subset_sums(self.weights)):
-            if s >= self.threshold:
-                bits |= 1 << i
+        """sum(w_j * x_j) >= T iff sum(|w_j| * y_j) >= T + sum of |w_j| over w_j < 0."""
+        bound = self.threshold - sum(w for w in self.weights if w < 0)
+        srcs, mask = _all_rows(self.fan_in)
+        bits = _weighted_at_least(self.weights, srcs, mask, bound)
         return TruthTable(self.fan_in, bits)

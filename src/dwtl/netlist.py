@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .gates import SpinMinorityGate, TieError
-from .table import MAX_INPUTS, TooManyInputsError, TruthTable, input_pattern
+from .table import TruthTable, input_patterns
 
 CONST_ONE = "one"
 
@@ -122,7 +122,7 @@ class Netlist:
                     f"gate '{gdef.name}': tie at assignment {ties[0]}",
                     assignment=ties[0],
                 )
-            values[gdef.name] = _positive_spin_sum(gdef.gate.weights, srcs, mask)
+            values[gdef.name] = gdef.gate.eval_patterns(srcs, mask)
         if any(o.ref not in values for o in self.outputs):
             raise NetlistError(self.validate()[0])
         return {
@@ -133,52 +133,15 @@ class Netlist:
     def _exhaustive_patterns(self) -> tuple[int, dict[str, int]]:
         """Free-input count and the packed patterns of all 2^n rows."""
         names = self.free_inputs
-        n = len(names)
-        if n > MAX_INPUTS:
-            raise TooManyInputsError(
-                f"{n} inputs exceed the {MAX_INPUTS}-input exhaustive ceiling"
-            )
-        if n == 0:
+        if not names:
             raise NetlistError("netlist has no free inputs")
-        return n, {name: input_pattern(j, n) for j, name in enumerate(names)}
+        return len(names), dict(zip(names, input_patterns(len(names))))
 
     def truth_tables(self) -> dict[str, TruthTable]:
         """Exhaustive per-output tables over the free inputs, in input order."""
         n, patterns = self._exhaustive_patterns()
         outs = self.evaluate_patterns(patterns, 1 << n)
         return {name: TruthTable(n, bits) for name, bits in outs.items()}
-
-
-def _positive_spin_sum(
-    weights: tuple[int, ...], srcs: list[int], mask: int
-) -> int:
-    """Packed output of a tie-free gate: 1 where its weighted spin sum is positive.
-
-    With y_j the input, complemented where w_j < 0, the spin sum is positive
-    iff sum(|w_j| * y_j) > sum(|w_j|) / 2. That sum is added up bit-sliced,
-    one packed integer per binary digit, and compared with the bound from the
-    top digit down, so the cost does not grow with 2^fan-in.
-    """
-    total = sum(map(abs, weights))
-    bound = total // 2 + 1
-    digits = [0] * total.bit_length()
-    for w, src in zip(weights, srcs):
-        y = src if w > 0 else src ^ mask
-        w = abs(w)
-        for k in range(w.bit_length()):
-            carry = y if (w >> k) & 1 else 0
-            i = k
-            while carry:
-                digits[i], carry = digits[i] ^ carry, digits[i] & carry
-                i += 1
-    greater, equal = 0, mask
-    for k in reversed(range(len(digits))):
-        if (bound >> k) & 1:
-            equal &= digits[k]
-        else:
-            greater |= equal & digits[k]
-            equal &= ~digits[k]
-    return greater | equal
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_INPUTS = 24
 
@@ -20,21 +19,31 @@ def assignment_of(index: int, num_inputs: int) -> tuple[int, ...]:
     return tuple((index >> j) & 1 for j in range(num_inputs))
 
 
-def index_of(assignment: Sequence[int]) -> int:
-    idx = 0
-    for j, bit in enumerate(assignment):
-        idx |= (bit & 1) << j
-    return idx
-
-
 def input_pattern(j: int, num_inputs: int) -> int:
     """Value of input j across all 2^n rows, packed as a 2^n-bit integer.
 
-    Bit i of the result is bit j of the row index i.
+    Bit i of the result is bit j of the row index i: 2^j zeros then 2^j ones,
+    repeated by doubling until the pattern spans 2^n rows.
     """
+    if j >= num_inputs:
+        return 0
     rows = 1 << num_inputs
     block = 1 << j
-    return ((1 << rows) - 1) // ((1 << block) + 1) << block
+    pattern = ((1 << block) - 1) << block
+    period = 2 * block
+    while period < rows:
+        pattern |= pattern << period
+        period *= 2
+    return pattern
+
+
+def input_patterns(num_inputs: int) -> list[int]:
+    """``input_pattern(j, n)`` for every input j; above 24 inputs, an error."""
+    if num_inputs > MAX_INPUTS:
+        raise TooManyInputsError(
+            f"{num_inputs} inputs exceed the {MAX_INPUTS}-input exhaustive ceiling"
+        )
+    return [input_pattern(j, num_inputs) for j in range(num_inputs)]
 
 
 @dataclass(frozen=True)
@@ -66,43 +75,9 @@ class TruthTable:
             raise IndexError(f"row {index} out of range")
         return (self.bits >> index) & 1
 
-    def value(self, assignment: Sequence[int]) -> int:
-        if len(assignment) != self.num_inputs:
-            raise ValueError(
-                f"expected {self.num_inputs} input values, got {len(assignment)}"
-            )
-        return self.bit(index_of(assignment))
-
     def complement(self) -> "TruthTable":
         mask = (1 << self.num_rows) - 1
         return TruthTable(self.num_inputs, self.bits ^ mask)
 
-    def on_set(self) -> Iterator[int]:
-        """Row indices where the function is 1, in increasing order."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
     def on_set_size(self) -> int:
         return self.bits.bit_count()
-
-    @classmethod
-    def from_rows(cls, num_inputs: int, rows: Iterable[int]) -> "TruthTable":
-        bits = 0
-        count = 0
-        for i, v in enumerate(rows):
-            if v:
-                bits |= 1 << i
-            count += 1
-        if count != (1 << num_inputs):
-            raise ValueError(f"expected {1 << num_inputs} rows, got {count}")
-        return cls(num_inputs, bits)
-
-    @classmethod
-    def from_function(cls, num_inputs: int, fn: Callable[[tuple[int, ...]], int]) -> "TruthTable":
-        return cls.from_rows(
-            num_inputs,
-            (fn(assignment_of(i, num_inputs)) for i in range(1 << num_inputs)),
-        )

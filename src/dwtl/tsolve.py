@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Union
 
-from .gates import ThresholdGate, subset_sums
+from .gates import ThresholdGate
 from .table import TruthTable, assignment_of, input_pattern
 
 SOLVE_MAX_INPUTS = 10
@@ -272,7 +272,9 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
             s = sum(abs(v) for v in w)
             if best is not None and s > best[0]:
                 continue
-            sums = subset_sums(w)
+            sums = [0]
+            for wj in w:
+                sums += [v + wj for v in sums]
             t_max = n * B + 1
             min_on = t_max  # T may not exceed the allowed ceiling
             max_off = -n * B - 1  # T floor is -n*B

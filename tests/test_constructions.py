@@ -1,9 +1,13 @@
 import random
+import time
+
+import pytest
 
 from dwtl import (
     GateDef,
     Netlist,
     OutputDef,
+    TooManyInputsError,
     check_equivalence,
     check_equivalence_sampled,
     cost_report,
@@ -76,6 +80,13 @@ def test_adder_spec_tables_shuffled_order_match_integer_addition():
             for i in range(n):
                 assert tables[f"sum{i}"].bit(row) == (total >> i) & 1
             assert tables["cout"].bit(row) == (total >> n) & 1
+
+
+def test_adder_spec_tables_refuses_25_inputs_at_once():
+    start = time.perf_counter()
+    with pytest.raises(TooManyInputsError):
+        adder_spec_tables(12)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ripple_gate_counts():

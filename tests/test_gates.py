@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from dwtl import SpinMinorityGate, ThresholdGate, TieError, ArityError
+from dwtl import SpinMinorityGate, ThresholdGate, TieError, ArityError, TooManyInputsError
+from dwtl.table import assignment_of
 
 
 MIN3 = SpinMinorityGate((-1, -1, -1))
@@ -155,3 +156,58 @@ def test_threshold_gate_eval():
     and2 = ThresholdGate((1, 1), 2)
     assert [and2.eval((a, b)) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 1]
     assert and2.truth_table().bits == 0b1000
+
+
+def test_tables_and_ties_match_direct_sums_random():
+    # the packed weighted-sum kernel against per-row eval and a direct scan
+    rng = random.Random(19)
+    magnitudes = [1, 2, 3, 5, 8, 1 << 40]
+    tie_prone = 0
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        rows = [assignment_of(i, n) for i in range(1 << n)]
+        weights = tuple(
+            rng.choice((-1, 1)) * rng.choice(magnitudes) for _ in range(n)
+        )
+        gate = SpinMinorityGate(weights)
+        spin_sums = [
+            sum(w * (2 * b - 1) for w, b in zip(weights, x)) for x in rows
+        ]
+        ties = [x for x, s in zip(rows, spin_sums) if s == 0]
+        assert gate.tie_assignments() == ties
+        if ties:
+            tie_prone += 1
+            with pytest.raises(TieError) as exc:
+                gate.truth_table()
+            assert exc.value.assignment == ties[0]
+        else:
+            tt = gate.truth_table()
+            assert [tt.bit(i) for i in range(1 << n)] == [gate.eval(x) for x in rows]
+
+        weights = tuple(
+            rng.choice((-1, 0, 1)) * rng.choice(magnitudes) for _ in range(n)
+        )
+        sums = [sum(w * b for w, b in zip(weights, x)) for x in rows]
+        for t in (
+            min(sums) - (1 << 41),
+            min(sums) - 1,
+            min(sums),
+            rng.choice(sums),
+            rng.choice(sums) + 1,
+            max(sums),
+            max(sums) + 1,
+            max(sums) + (1 << 41),
+        ):
+            tg = ThresholdGate(weights, t)
+            tt = tg.truth_table()
+            assert [tt.bit(i) for i in range(1 << n)] == [tg.eval(x) for x in rows]
+    assert 0 < tie_prone < 200
+
+
+def test_sweeps_above_the_ceiling_refused():
+    with pytest.raises(TooManyInputsError):
+        ThresholdGate((1,) * 25, 1).truth_table()
+    # an even magnitude sum needs the row sweep to rule out ties
+    with pytest.raises(TooManyInputsError):
+        SpinMinorityGate((1,) * 26).tie_assignments()
+    assert SpinMinorityGate((1,) * 25).tie_assignments() == []

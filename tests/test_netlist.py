@@ -14,6 +14,7 @@ from dwtl import (
     check_equivalence,
     check_equivalence_sampled,
     cost_report,
+    parse_netlist,
 )
 from dwtl.constructions import (
     adder_reference_patterns,
@@ -158,6 +159,19 @@ def test_evaluate_wide_gate_without_its_table():
     for ones in (0, 12, 13, 24):
         x = {name: int(j < ones) for j, name in enumerate(net.inputs)}
         assert net.evaluate(x) == {"y": gate.eval(list(x.values()))}
+
+
+def test_wide_even_weight_gate_checked_without_row_list():
+    # sum|w| = 48 is even, so only the full tie check shows the gate is
+    # tie-free (the sum of |w_j| y_j is at most 23 or at least 25, never 24)
+    gate = SpinMinorityGate((-1,) * 23 + (25,))
+    assert gate.tie_assignments() == []
+    text = "".join(f"input x{j}\n" for j in range(24))
+    text += "gate g " + " ".join(f"w={w}:x{j}" for j, w in enumerate(gate.weights))
+    text += "\noutput y = g\n"
+    net = parse_netlist(text)
+    x = {f"x{j}": j % 2 for j in range(24)}
+    assert net.evaluate(x) == {"y": gate.eval(list(x.values()))}
 
 
 def test_truth_tables_adder():
