@@ -144,17 +144,21 @@ class SpinMinorityGate:
         ties, whatever its fan-in. Otherwise the ties are the rows where
         sum(|w_j| * y_j) reaches exactly half the magnitude sum.
         """
-        total = self.weight_magnitude_sum
-        if total % 2 == 1:
+        if self.weight_magnitude_sum % 2 == 1:
             return []
+        return list(self._even_sum_ties)
+
+    @cached_property  # a row sweep read by every tie check; weights are frozen
+    def _even_sum_ties(self) -> tuple[tuple[int, ...], ...]:
+        total = self.weight_magnitude_sum
         srcs, mask = _all_rows(self.fan_in)
         ties = _weighted_at_least(self.weights, srcs, mask, total // 2)
         ties ^= self.eval_patterns(srcs, mask)
-        return [
+        return tuple(
             assignment_of(i, self.fan_in)
             for i, bit in enumerate(f"{ties:b}"[::-1])
             if bit == "1"
-        ]
+        )
 
     def is_well_defined(self) -> bool:
         return not self.tie_assignments()

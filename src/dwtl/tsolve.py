@@ -1,10 +1,18 @@
 """Single-gate threshold realizability: exact LP solver and weight synthesis.
 
-Realizability of a truth table as [sum(w_i x_i) >= T] is decided by a
-phase-1 simplex over exact rationals with Bland's rule, so an infeasible
-answer is a terminating proof rather than a search timeout. Strict
-separation is posed with integer margin 1: on-set rows satisfy
-sum(w x) >= T and off-set rows satisfy sum(w x) <= T - 1.
+Realizability of a truth table as [sum(w_i x_i) >= T] is decided by an
+exact phase-1 simplex with Bland's rule, so an infeasible answer is a
+terminating proof rather than a search timeout. Strict separation is posed
+with integer margin 1: on-set rows satisfy sum(w x) >= T and off-set rows
+satisfy sum(w x) <= T - 1.
+
+The LP never sees all 2^n rows. A non-unate table is refuted by its
+unateness witness alone (4 rows). A unate table is solved in its positive
+form, where only the minimal true and maximal false rows matter (Muroga,
+*Threshold Logic and Its Applications*, 1971), and those are added to the
+LP one at a time, each time the lowest one that the current integer
+candidate, tabled by the packed gate kernel, gets wrong. Pivots run on
+integers, fraction-free (Edmonds/Bareiss).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from itertools import permutations, product
 from typing import Union
 
 from .gates import ThresholdGate
-from .table import TruthTable, assignment_of, input_pattern
+from .table import TruthTable, assignment_of, input_pattern, input_patterns
 
 SOLVE_MAX_INPUTS = 10
 MINIMIZE_MAX_INPUTS = 6
@@ -73,7 +81,9 @@ class NotThreshold:
     """Infeasibility certificate from the exact separation LP.
 
     ``infeasibility_gap`` is the phase-1 optimum (strictly positive) and
-    ``num_constraints`` the number of separation constraints posed.
+    ``num_constraints`` the number of rows in the final working set, which
+    alone are infeasible: the 4 witness rows of a non-unate table, else the
+    boundary rows added before the LP failed.
     """
 
     num_constraints: int
@@ -121,112 +131,147 @@ def is_unate(tt: TruthTable) -> Unateness | NotUnate:
     return Unateness(tuple(polarities))
 
 
-def _phase1_simplex(tt: TruthTable) -> tuple[Fraction, list[Fraction]] | None:
-    """Feasibility of the margin-1 separation LP via phase-1 simplex.
+def _separation_lp(
+    coeffs: list[list[int]], on: list[bool]
+) -> tuple[Fraction, list[int]]:
+    """Phase-1 simplex with Bland's rule on an all-integer tableau.
 
-    Free variables (w_1..w_n, T) are split into nonnegative pairs. Returns
-    (gap, values) where gap is the phase-1 optimum; values holds (w, T) as
-    Fractions when gap == 0, otherwise the LP is infeasible and the second
-    element is empty.
+    Row i asks c_i . v >= 0 when ``on[i]``, else c_i . v <= -1, over columns
+    v >= 0. Pivots are fraction-free (Edmonds/Bareiss): the tableau holds
+    the true tableau times d, the determinant of the current basis, and
+    every update divides exactly by the previous d. Returns (gap, values):
+    a positive phase-1 optimum ``gap`` proves the rows infeasible (values
+    empty); with gap 0, ``values`` is a feasible v times d, in integers.
     """
-    n = tt.num_inputs
-    rows = tt.num_rows
-    nfree = n + 1  # w_1..w_n, T
-    ncols = 2 * nfree + rows  # split free vars + one slack/surplus per row
-    off_rows = [i for i in range(rows) if not (tt.bits >> i) & 1]
-    nart = len(off_rows)
-    total = ncols + nart + 1  # + RHS
-
-    zero = Fraction(0)
-    one = Fraction(1)
-    tableau: list[list[Fraction]] = []
+    nv = len(coeffs[0])
+    ncols = nv + len(coeffs)  # the columns of v, then one slack/surplus per row
+    off = [i for i in range(len(coeffs)) if not on[i]]
+    total = ncols + len(off) + 1  # + one artificial per off row, + RHS
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    art_col = {}
-    for k, i in enumerate(off_rows):
-        art_col[i] = ncols + k
-
-    for i in range(rows):
-        row = [zero] * total
-        on = (tt.bits >> i) & 1
-        # free-variable coefficients of the constraint, written so RHS >= 0:
-        #   on row:   -(sum w x - T) + slack = 0          (slack basic)
-        #   off row:  (T - sum w x) - surplus + art = 1   (artificial basic)
-        for j in range(n):
-            x = (i >> j) & 1
-            if not x:
-                continue
-            c = -one  # coefficient of w_j in both forms above
-            row[2 * j] = c
-            row[2 * j + 1] = -c
-        row[2 * n] = one  # +T
-        row[2 * n + 1] = -one
-        if on:
-            row[2 * nfree + i] = one
-            row[-1] = zero
-            basis.append(2 * nfree + i)
+    # both forms keep RHS >= 0:
+    #   on row:   -c.v + slack = 0                (slack basic)
+    #   off row:  -c.v - surplus + art = 1        (artificial basic)
+    for i, c in enumerate(coeffs):
+        row = [-v for v in c] + [0] * (total - nv)
+        if on[i]:
+            row[nv + i] = 1
+            basis.append(nv + i)
         else:
-            row[2 * nfree + i] = -one
-            row[art_col[i]] = one
-            row[-1] = one
-            basis.append(art_col[i])
+            art = ncols + off.index(i)
+            row[nv + i] = -1
+            row[art] = row[-1] = 1
+            basis.append(art)
         tableau.append(row)
 
     # reduced-cost row for minimizing the sum of artificials
-    obj = [zero] * total
-    for k in range(nart):
-        obj[ncols + k] = one
-    for i, b in enumerate(basis):
-        if b >= ncols:
-            r = tableau[i]
-            obj = [o - v for o, v in zip(obj, r)]
+    obj = [0] * ncols + [1] * len(off) + [0]
+    for i in off:
+        obj = [o - v for o, v in zip(obj, tableau[i])]
 
+    d = 1
     while True:
-        enter = -1
-        for j in range(total - 1):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((k for k in range(total - 1) if obj[k] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        best_ratio = None
-        for i in range(rows):
-            a = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # row[-1] / a against the best ratio, cross-multiplied
+                lhs = row[-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise RuntimeError("phase-1 objective unbounded; formulation bug")
         piv_row = tableau[leave]
-        piv = piv_row[enter]
-        if piv != 1:
-            tableau[leave] = piv_row = [v / piv for v in piv_row]
-        for i in range(rows):
-            if i == leave:
-                continue
-            f = tableau[i][enter]
-            if f:
-                tableau[i] = [v - f * p for v, p in zip(tableau[i], piv_row)]
+        p = piv_row[enter]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            if i != leave and (f or p != d):
+                tableau[i] = [(v * p - f * q) // d for v, q in zip(row, piv_row)]
         f = obj[enter]
-        if f:
-            obj = [v - f * p for v, p in zip(obj, piv_row)]
+        obj = [(v * p - f * q) // d for v, q in zip(obj, piv_row)]
+        d = p
         basis[leave] = enter
 
-    gap = -obj[-1]
-    if gap != 0:
-        return (gap, [])
-    values = [zero] * ncols
+    if obj[-1]:
+        return Fraction(-obj[-1], d), []
+    values = [0] * nv
     for i, b in enumerate(basis):
-        if b < ncols:
+        if b < nv:
             values[b] = tableau[i][-1]
-    solution = [values[2 * j] - values[2 * j + 1] for j in range(nfree)]
-    return (zero, solution)
+    return Fraction(0), values
+
+
+def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
+    """``solve_threshold`` given the table's unateness.
+
+    A unate table is solved in its positive form: each '-' variable is
+    flipped, each '0' variable gets weight 0, and the weights of the live
+    variables are >= 0 with T >= 0 (a negative T only realizes constant 1,
+    as T = 0 does). Under w >= 0 every true row dominates a minimal true
+    row and every false row is dominated by a maximal false row, so those
+    boundary rows decide the LP. They are added to a working set one at a
+    time, each time the lowest one the integer candidate gets wrong.
+    Infeasibility on the working set is already a proof.
+    """
+    if isinstance(unate, NotUnate):
+        # the witness's 4 rows alone force w_j >= 1 and w_j <= -1; weights
+        # and T are free there, each split into a nonnegative pair
+        rows = (*unate.increasing, *unate.decreasing)
+        coeffs = [[s * x for x in (*row, -1) for s in (1, -1)] for row in rows]
+        gap, _ = _separation_lp(coeffs, [False, True, True, False])
+        if not gap:
+            raise RuntimeError("LP feasible on a unateness witness; solver bug")
+        return NotThreshold(num_constraints=len(rows), infeasibility_gap=gap)
+    n = tt.num_inputs
+    full = (1 << tt.num_rows) - 1
+    patterns = input_patterns(n)
+    flipped = [j for j, p in enumerate(unate.polarities) if p == "-"]
+    live = [j for j, p in enumerate(unate.polarities) if p != "0"]
+    g = tt.bits
+    for j in flipped:  # x_j -> 1 - x_j swaps the blocks of input_pattern(j, n)
+        g = ((g & patterns[j]) >> (1 << j)) | ((g & ~patterns[j]) << (1 << j))
+    lowered = raised = 0  # rows with a true row below / a false row above
+    for j, pattern in enumerate(patterns):
+        lowered |= pattern & (g << (1 << j))
+        raised |= ~pattern & (~g >> (1 << j))
+    mins = g & ~lowered
+    maxs = full & ~g & ~raised
+    boundary = mins | maxs
+
+    work = []
+    if mins:
+        work.append((mins & -mins).bit_length() - 1)
+    if maxs:
+        work.append(maxs.bit_length() - 1)
+    while True:
+        coeffs = [[(i >> j) & 1 for j in live] + [-1] for i in work]
+        gap, values = _separation_lp(coeffs, [bool((g >> i) & 1) for i in work])
+        if gap:
+            return NotThreshold(num_constraints=len(work), infeasibility_gap=gap)
+        scale = math.gcd(*values) or 1
+        weights = [0] * n
+        for j, v in zip(live, values):
+            weights[j] = v // scale
+        threshold = values[-1] // scale
+        candidate = ThresholdGate(tuple(weights), threshold).truth_table()
+        wrong = (candidate.bits ^ g) & boundary
+        if not wrong:
+            break
+        work.append((wrong & -wrong).bit_length() - 1)
+    for j in flipped:  # w_j x_j over 1 - x_j: negate w_j and lower T by it
+        threshold -= weights[j]
+        weights[j] = -weights[j]
+    gate = ThresholdGate(weights=tuple(weights), threshold=threshold)
+    if gate.truth_table() != tt:
+        raise RuntimeError("LP solution failed re-evaluation; solver bug")
+    return ThresholdRealization(gate=gate, minimal=False)
 
 
 def solve_threshold(tt: TruthTable) -> SolveResult:
@@ -237,15 +282,7 @@ def solve_threshold(tt: TruthTable) -> SolveResult:
         raise ValueError(
             f"solve_threshold supports up to {SOLVE_MAX_INPUTS} inputs, got {n}"
         )
-    gap, sol = _phase1_simplex(tt)
-    if gap != 0:
-        return NotThreshold(num_constraints=tt.num_rows, infeasibility_gap=gap)
-    scale = math.lcm(*(v.denominator for v in sol))
-    ints = [int(v * scale) for v in sol]
-    gate = ThresholdGate(weights=tuple(ints[:n]), threshold=ints[n])
-    if gate.truth_table() != tt:
-        raise RuntimeError("LP solution failed re-evaluation; solver bug")
-    return ThresholdRealization(gate=gate, minimal=False)
+    return _solve(tt, is_unate(tt))
 
 
 def minimize_weights(tt: TruthTable) -> ThresholdRealization:
@@ -253,14 +290,18 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
 
     Iterative deepening on the per-weight bound B: any realization with
     sum|w| = S has every |w_j| <= S, so the first minimum found with
-    sum|w| <= B + 1 is globally minimal.
+    sum|w| <= B + 1 is globally minimal. The polarities fix the signs: no
+    realization weights a '+' variable below 0 or a '-' variable above 0,
+    and a weight on a '0' variable can be set to 0 with a smaller sum, so
+    every minimal realization lies in the box searched.
     """
     n = tt.num_inputs
     if n > MINIMIZE_MAX_INPUTS:
         raise ValueError(
             f"minimize_weights supports up to {MINIMIZE_MAX_INPUTS} inputs, got {n}"
         )
-    probe = solve_threshold(tt)
+    unate = is_unate(tt)
+    probe = _solve(tt, unate)
     if isinstance(probe, NotThreshold):
         raise NotThresholdError(probe)
 
@@ -268,7 +309,8 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
     while True:
         B += 1
         best: tuple[int, tuple[int, ...], int] | None = None
-        for w in product(range(-B, B + 1), repeat=n):
+        signed = {"+": range(0, B + 1), "-": range(-B, 1), "0": (0,)}
+        for w in product(*(signed[p] for p in unate.polarities)):
             s = sum(abs(v) for v in w)
             if best is not None and s > best[0]:
                 continue
@@ -345,12 +387,13 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
     tables: list[int] = []
     for f in range(1 << rows):
         tt = TruthTable(n, f)
-        if isinstance(is_unate(tt), NotUnate):
+        unate = is_unate(tt)
+        if isinstance(unate, NotUnate):
             continue
         key = canonical(f)
         verdict = cache.get(key)
         if verdict is None:
-            verdict = isinstance(solve_threshold(tt), ThresholdRealization)
+            verdict = isinstance(_solve(tt, unate), ThresholdRealization)
             cache[key] = verdict
         if verdict:
             tables.append(f)

@@ -43,9 +43,9 @@ def test_solve_xor_not_threshold(capsys):
 
 def test_solve_minimize_not_threshold_runs_lp_once(monkeypatch, capsys):
     calls = []
-    lp = dwtl.tsolve._phase1_simplex
+    lp = dwtl.tsolve._separation_lp
     monkeypatch.setattr(
-        dwtl.tsolve, "_phase1_simplex", lambda tt: calls.append(tt) or lp(tt)
+        dwtl.tsolve, "_separation_lp", lambda *rows: calls.append(rows) or lp(*rows)
     )
     assert run(["solve", "--tt", "2:0x6", "--minimize"]) == 1
     assert "NOT THRESHOLD" in capsys.readouterr().out

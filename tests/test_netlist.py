@@ -3,6 +3,8 @@ import random
 import pytest
 from fractions import Fraction
 
+import dwtl.gates
+
 from dwtl import (
     GateDef,
     Netlist,
@@ -172,6 +174,26 @@ def test_wide_even_weight_gate_checked_without_row_list():
     net = parse_netlist(text)
     x = {f"x{j}": j % 2 for j in range(24)}
     assert net.evaluate(x) == {"y": gate.eval(list(x.values()))}
+
+
+def test_tie_check_sweeps_each_gate_once(monkeypatch):
+    sweeps = []
+    all_rows = dwtl.gates._all_rows
+    monkeypatch.setattr(
+        dwtl.gates, "_all_rows", lambda n: sweeps.append(n) or all_rows(n)
+    )
+    # sum|w| = 8 is even for both gates, so each tie check sweeps every row
+    net = parse_netlist(
+        "input a\ninput b\ninput c\ninput d\n"
+        "gate g w=1:a w=1:b w=1:c w=5:d\n"
+        "gate h w=-1:a w=-1:b w=-1:c w=5:g\n"
+        "output y = h\n"
+    )
+    assert sweeps == [4, 4]
+    x = {"a": 1, "b": 0, "c": 1, "d": 0}
+    assert net.evaluate(x) == net.evaluate(x) == {"y": 0}
+    assert net.validate() == []
+    assert sweeps == [4, 4]
 
 
 def test_truth_tables_adder():

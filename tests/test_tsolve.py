@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -7,6 +9,7 @@ from dwtl import (
     NotThresholdError,
     NotUnate,
     ThresholdRealization,
+    ThresholdGate,
     TruthTable,
     Unateness,
     chow_parameters,
@@ -16,6 +19,7 @@ from dwtl import (
     solve_threshold,
     threshold_tables_by_search,
 )
+from dwtl.table import input_pattern
 
 MAJ3 = TruthTable(3, 0xE8)
 MIN3 = TruthTable(3, 0x17)
@@ -181,3 +185,90 @@ def test_solver_soundness_random_n5():
         res = solve_threshold(tt)
         if isinstance(res, ThresholdRealization):
             assert res.gate.truth_table() == tt
+
+
+def test_solve_every_n4_table_matches_search_oracle():
+    oracle = threshold_tables_by_search(4, 3)
+    for f in range(1 << 16):
+        tt = TruthTable(4, f)
+        res = solve_threshold(tt)
+        assert isinstance(res, ThresholdRealization) == (f in oracle), hex(f)
+        if isinstance(res, NotThreshold):
+            assert res.infeasibility_gap > 0
+            if isinstance(is_unate(tt), NotUnate):
+                assert res.num_constraints == 4
+
+
+def _literal(j, n, negated):
+    p = input_pattern(j, n)
+    return p ^ ((1 << (1 << n)) - 1) if negated else p
+
+
+def test_solve_known_verdicts_n5_to_n10():
+    # a seeded weighted sum is threshold; x_a x_b | x_c x_d (any polarities,
+    # other inputs ignored) is unate but not threshold: w_a + w_b >= T and
+    # w_c + w_d >= T, yet w_a + w_c < T and w_b + w_d < T
+    rng = random.Random(37)
+    for n in range(5, 11):
+        for _ in range(4):
+            w = tuple(rng.choice((-1, 1)) * rng.randint(1, 2 * n) for _ in range(n))
+            t = rng.randint(sum(v for v in w if v < 0) + 1, sum(v for v in w if v > 0))
+            tt = ThresholdGate(w, t).truth_table()
+            res = solve_threshold(tt)
+            assert isinstance(res, ThresholdRealization), (w, t)
+            assert res.gate.truth_table() == tt
+
+            picked = rng.sample(range(n), 4)
+            a, b, c, d = (_literal(j, n, rng.random() < 0.5) for j in picked)
+            res = solve_threshold(TruthTable(n, (a & b) | (c & d)))
+            assert isinstance(res, NotThreshold)
+            assert res.infeasibility_gap > 0
+
+
+@pytest.mark.parametrize(
+    "weights,threshold", [((1,) * 10, 6), (tuple(range(1, 11)), 28)]
+)
+def test_solve_ten_inputs_in_seconds(weights, threshold):
+    tt = ThresholdGate(weights, threshold).truth_table()
+    start = time.perf_counter()
+    res = solve_threshold(tt)
+    assert time.perf_counter() - start < 10
+    assert isinstance(res, ThresholdRealization)
+    assert res.gate.truth_table() == tt
+
+
+def _minimize_unrestricted(tt):
+    # every weight in [-B, B], as before the polarities fixed the signs
+    n = tt.num_inputs
+    B = 0
+    while True:
+        B += 1
+        best = None
+        for w in itertools.product(range(-B, B + 1), repeat=n):
+            s = sum(map(abs, w))
+            sums = [0]
+            for wj in w:
+                sums += [v + wj for v in sums]
+            min_on = n * B + 1
+            max_off = -n * B - 1
+            for i, v in enumerate(sums):
+                if (tt.bits >> i) & 1:
+                    min_on = min(min_on, v)
+                else:
+                    max_off = max(max_off, v)
+            if max_off < min_on and (best is None or (s, w, max_off + 1) < best):
+                best = (s, w, max_off + 1)
+        if best is not None and best[0] <= B + 1:
+            return best
+
+
+def test_minimize_matches_unrestricted_search():
+    rng = random.Random(41)
+    n4 = rng.sample(sorted(threshold_tables_by_search(4, 3)), 12)
+    cases = [TruthTable(3, f) for f in sorted(threshold_tables_by_search(3, 2))]
+    cases += [TruthTable(4, f) for f in n4]
+    for tt in cases:
+        gate = minimize_weights(tt).gate
+        assert (gate.weight_magnitude_sum, gate.weights, gate.threshold) == (
+            _minimize_unrestricted(tt)
+        ), tt
