@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Union
 
 from .gates import ThresholdGate
@@ -28,7 +28,7 @@ from .table import TruthTable, assignment_of, input_pattern, input_patterns
 
 SOLVE_MAX_INPUTS = 10
 MINIMIZE_MAX_INPUTS = 6
-ENUMERATE_MAX_INPUTS = 4
+ENUMERATE_MAX_INPUTS = 5
 
 
 class NotThresholdError(ValueError):
@@ -347,56 +347,43 @@ class ThresholdEnumeration:
 
 
 def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
-    """Classify every n-input function; count and list the threshold ones.
+    """Classify every n-input function through the monotone functions, n <= 5.
 
-    Non-unate functions are rejected without an LP call (unateness is a
-    necessary condition), and classification is shared across input
-    permutations and output complement, both of which preserve thresholdness.
-    Every positive answer still comes from the exact LP.
+    Every threshold function is unate, and flipping its '-' variables gives
+    a positive threshold function, which is monotone. So the monotone
+    functions are built bottom-up, as f0 | f1 << 2^k with f0 a subset of f1
+    (7,581 at n = 5, the Dedekind number), each one is decided by the exact
+    LP, and every positive threshold function is expanded into its flips
+    over its essential variables (Muroga, *Threshold Logic and Its
+    Applications*, 1971). Distinct flips give distinct polarities, so the
+    union is disjoint. Every positive answer still comes from the exact LP.
     """
     if not 1 <= n <= ENUMERATE_MAX_INPUTS:
         raise ValueError(
             f"enumerate_threshold_functions supports 1..{ENUMERATE_MAX_INPUTS}, got {n}"
         )
-    rows = 1 << n
-    full = (1 << rows) - 1
-    index_maps = []
-    for perm in permutations(range(n)):
-        index_maps.append(
-            [
-                sum(((i >> j) & 1) << perm[j] for j in range(n))
-                for i in range(rows)
-            ]
-        )
-
-    def canonical(bits: int) -> int:
-        best = None
-        for variant in (bits, bits ^ full):
-            for imap in index_maps:
-                nb = 0
-                v = variant
-                while v:
-                    low = v & -v
-                    nb |= 1 << imap[low.bit_length() - 1]
-                    v ^= low
-                if best is None or nb < best:
-                    best = nb
-        return best
-
-    cache: dict[int, bool] = {}
+    monotone = [0, 1]  # the 0-input functions
+    for k in range(n):
+        shift = 1 << k
+        monotone = [
+            f0 | f1 << shift for f1 in monotone for f0 in monotone if not f0 & ~f1
+        ]
+    patterns = input_patterns(n)
     tables: list[int] = []
-    for f in range(1 << rows):
+    for f in monotone:
         tt = TruthTable(n, f)
         unate = is_unate(tt)
-        if isinstance(unate, NotUnate):
+        if isinstance(_solve(tt, unate), NotThreshold):
             continue
-        key = canonical(f)
-        verdict = cache.get(key)
-        if verdict is None:
-            verdict = isinstance(_solve(tt, unate), ThresholdRealization)
-            cache[key] = verdict
-        if verdict:
-            tables.append(f)
+        flips = [f]
+        for j, p in enumerate(unate.polarities):
+            if p == "+":  # x_j -> 1 - x_j swaps the blocks of input_pattern(j, n)
+                d = 1 << j
+                flips += [
+                    ((g & patterns[j]) >> d) | ((g & ~patterns[j]) << d) for g in flips
+                ]
+        tables += flips
+    tables.sort()
     return ThresholdEnumeration(num_inputs=n, count=len(tables), tables=tuple(tables))
 
 

@@ -32,6 +32,7 @@ from dwtl.netlist import (
 )
 from dwtl.gates import SpinMinorityGate
 from dwtl.tsolve import (
+    ENUMERATE_MAX_INPUTS,
     enumerate_threshold_functions,
     threshold_tables_by_search,
 )
@@ -223,4 +224,38 @@ def test_acceptance_7_scale_check_32_bit(capsys):
             ok,
             f"64 gates, {res.vectors_checked} vectors incl. corners, "
             f"0 mismatches, {elapsed:.2f}s",
+        )
+
+
+def test_acceptance_8_classify_every_5_input_function(capsys):
+    t0 = time.perf_counter()
+    enum = enumerate_threshold_functions(5)
+    elapsed = time.perf_counter() - t0
+    increasing = all(a < b for a, b in zip(enum.tables, enum.tables[1:]))
+    inside = set(enum.tables)
+    rng = random.Random(0xA000609)
+    sample_in = rng.sample(enum.tables, 200)
+    sample_out = []
+    while len(sample_out) < 200:
+        f = rng.randrange(1 << 32)
+        if f not in inside:
+            sample_out.append(f)
+    agree = all(
+        isinstance(solve_threshold(TruthTable(5, f)), ThresholdRealization)
+        == (f in inside)
+        for f in sample_in + sample_out
+    )
+    ok = (
+        ENUMERATE_MAX_INPUTS == 5
+        and enum.count == len(enum.tables) == 94_572
+        and increasing
+        and agree
+        and elapsed < 30
+    )
+    with capsys.disabled():
+        _report(
+            8,
+            ok,
+            f"{enum.count}/2^32 threshold at n=5, 200 in / 200 out agree with "
+            f"solve_threshold, {elapsed:.2f}s",
         )

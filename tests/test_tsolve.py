@@ -19,6 +19,7 @@ from dwtl import (
     solve_threshold,
     threshold_tables_by_search,
 )
+from dwtl import tsolve
 from dwtl.table import input_pattern
 
 MAJ3 = TruthTable(3, 0xE8)
@@ -168,14 +169,37 @@ def test_enumerate_counts(n, expected):
     assert set(enum.tables) == set(oracle)
 
 
-def test_enumerate_matches_direct_solve_n2():
-    enum = enumerate_threshold_functions(2)
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumerate_matches_direct_solve(n):
+    enum = enumerate_threshold_functions(n)
     direct = {
         f
-        for f in range(16)
-        if isinstance(solve_threshold(TruthTable(2, f)), ThresholdRealization)
+        for f in range(1 << (1 << n))
+        if isinstance(solve_threshold(TruthTable(n, f)), ThresholdRealization)
     }
     assert set(enum.tables) == direct
+
+
+def test_enumerate_solves_only_the_monotone_functions(monkeypatch):
+    # 168 monotone functions of 4 inputs (Dedekind number); is_unate on a
+    # monotone table reports only '+' and '0', so no witness is ever built
+    solved = []
+    real_solve, real_is_unate = tsolve._solve, tsolve.is_unate
+
+    def counting_solve(tt, unate):
+        solved.append(tt.bits)
+        return real_solve(tt, unate)
+
+    def checked_is_unate(tt):
+        unate = real_is_unate(tt)
+        assert not isinstance(unate, NotUnate), hex(tt.bits)
+        assert set(unate.polarities) <= {"+", "0"}, hex(tt.bits)
+        return unate
+
+    monkeypatch.setattr(tsolve, "_solve", counting_solve)
+    monkeypatch.setattr(tsolve, "is_unate", checked_is_unate)
+    assert enumerate_threshold_functions(4).count == 1882
+    assert len(solved) == len(set(solved)) == 168
 
 
 def test_solver_soundness_random_n5():
