@@ -36,28 +36,49 @@ def _weighted_at_least(
     y_j is source j, complemented where w_j < 0; zero weights add nothing.
     The sum is added up bit-sliced, one packed integer per binary digit, and
     compared with ``bound`` from the top digit down, so the cost grows with
-    fan-in and log sum|w|, not with the number of rows.
+    fan-in and log sum|w|, not with the number of rows. Every source must lie
+    within ``mask``.
+
+    If negative weights outweigh the rest, sum(|w_j| * y_j) >= bound is read
+    as not sum(|w_j| * (1 - y_j)) >= total - bound + 1, so that only the
+    smaller sign group is complemented, and the result once, at the end.
     """
+    total = sum(map(abs, weights))
+    sign = -1 if sum(weights) < 0 else 1
+    if sign < 0:
+        bound = total - bound + 1
+    invert = mask if sign < 0 else 0
     if bound <= 0:
-        return mask
-    digits = [0] * max(bound, sum(map(abs, weights))).bit_length()
+        return mask ^ invert
+    top = max(bound, total).bit_length() - 1
+    digits = [0] * (top + 1)
     for w, src in zip(weights, srcs):
-        y = src if w > 0 else src ^ mask
-        w = abs(w)
-        for k in range(w.bit_length()):
-            carry = y if (w >> k) & 1 else 0
-            i = k
-            while carry:
-                digits[i], carry = digits[i] ^ carry, digits[i] & carry
-                i += 1
+        y = src ^ mask if w * sign < 0 else src
+        w, k = abs(w), 0
+        while w:
+            if w & 1:
+                carry, i = y, k
+                while carry:
+                    d = digits[i]
+                    # an empty digit takes a copy; the top digit never carries
+                    if not d or i == top:
+                        digits[i] = d ^ carry if d else carry
+                        break
+                    digits[i], carry = d ^ carry, d & carry
+                    i += 1
+            w >>= 1
+            k += 1
+    # ``equal``: rows whose digits so far match bound's; ``greater``: rows
+    # already above it. Below bound's lowest set digit neither changes.
     greater, equal = 0, mask
-    for k in reversed(range(len(digits))):
+    for k in range(top, (bound & -bound).bit_length() - 2, -1):
+        t = digits[k] if equal is mask else equal & digits[k]
         if (bound >> k) & 1:
-            equal &= digits[k]
+            equal = t
         else:
-            greater |= equal & digits[k]
-            equal &= ~digits[k]
-    return greater | equal
+            greater |= t
+            equal ^= t
+    return (greater | equal) ^ invert
 
 
 def _all_rows(fan_in: int) -> tuple[list[int], int]:
@@ -121,7 +142,8 @@ class SpinMinorityGate:
 
         With y_j the input, complemented where w_j < 0, the spin sum is
         positive iff sum(|w_j| * y_j) > sum(|w_j|) / 2. A row where the gate
-        ties reads 0, so callers refuse tie-prone gates first.
+        ties reads 0, so callers refuse tie-prone gates first. Every source
+        must lie within ``mask``.
         """
         return _weighted_at_least(
             self.weights, srcs, mask, self.weight_magnitude_sum // 2 + 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .gates import SpinMinorityGate, TieError
@@ -107,12 +108,14 @@ class Netlist:
         ``patterns[name]`` holds input ``name`` across all vectors, one bit per
         vector. Returns one packed integer per output. A gate that can tie
         raises ``TieError`` naming it, whether or not a vector hits the tie.
+        Each signal is dropped after its last reader unless an output reads it.
         """
         mask = (1 << width) - 1
         values: dict[str, int] = {}
         for name in self.inputs:
-            values[name] = mask if name == CONST_ONE else patterns[name] & mask
-        for gdef in self.gates:
+            p = mask if name == CONST_ONE else patterns[name]
+            values[name] = p if 0 <= p <= mask else p & mask
+        for gdef, dead in zip(self.gates, self._released_after):
             srcs = [values.get(r) for r in gdef.refs]
             if None in srcs or len(srcs) != gdef.gate.fan_in:
                 raise NetlistError(self.validate()[0])
@@ -123,12 +126,25 @@ class Netlist:
                     assignment=ties[0],
                 )
             values[gdef.name] = gdef.gate.eval_patterns(srcs, mask)
+            for name in dead:
+                del values[name]
         if any(o.ref not in values for o in self.outputs):
             raise NetlistError(self.validate()[0])
         return {
             o.name: (values[o.ref] ^ mask) if o.invert else values[o.ref]
             for o in self.outputs
         }
+
+    @cached_property  # read by every evaluation; the netlist is frozen
+    def _released_after(self) -> tuple[tuple[str, ...], ...]:
+        """Per gate, the signals it reads last; a signal an output reads is kept."""
+        last = {ref: i for i, gdef in enumerate(self.gates) for ref in gdef.refs}
+        for o in self.outputs:
+            last.pop(o.ref, None)
+        dead: list[list[str]] = [[] for _ in self.gates]
+        for ref, i in last.items():
+            dead[i].append(ref)
+        return tuple(map(tuple, dead))
 
     def _exhaustive_patterns(self) -> tuple[int, dict[str, int]]:
         """Free-input count and the packed patterns of all 2^n rows."""
@@ -202,17 +218,17 @@ def check_equivalence_sampled(
     for the same bit-parallel input patterns the netlist sees. The corner
     vectors are all-zeros, all-ones, and each single-hot input.
     """
+    if num_vectors < 0:
+        raise NetlistError(f"number of vectors must be non-negative, got {num_vectors}")
     names = net.free_inputs
     n = len(names)
     rng = random.Random(seed)
     width = num_vectors + 2 + n
     patterns: dict[str, int] = {}
     for j, name in enumerate(names):
-        p = rng.getrandbits(num_vectors)
         # corners: all-zeros at bit num_vectors (no-op), all-ones, single-hot j
-        p |= 1 << (num_vectors + 1)
-        p |= 1 << (num_vectors + 2 + j)
-        patterns[name] = p
+        corners = (1 | 2 << j) << (num_vectors + 1)
+        patterns[name] = rng.getrandbits(num_vectors) | corners
     want = reference(patterns, width)
     if set(want) != {o.name for o in net.outputs}:
         raise NetlistError("reference output names do not match netlist outputs")

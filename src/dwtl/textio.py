@@ -42,96 +42,99 @@ def parse_netlist(text: str) -> Netlist:
     outputs: list[OutputDef] = []
     defined: set[str] = set()
     out_names: set[str] = set()
+    # one gate object per weight tuple: validated and tie-checked once
+    gate_of: dict[tuple[int, ...], SpinMinorityGate] = {}
+
+    # columns are found only on error: str.split splits at TOKEN_RE's whitespace
+    def error(index: int, message: str, offset: int = 0) -> ParseError:
+        column = [m.start() for m in TOKEN_RE.finditer(line)][index] + 1
+        return ParseError(lineno, column + offset, message)
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        found = list(TOKEN_RE.finditer(raw.split("#", 1)[0]))
-        if not found:
+        line = raw.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        tokens = [m.group() for m in found]
-        cols = [m.start() + 1 for m in found]
         kind = tokens[0]
 
         if kind == "input":
             if len(tokens) != 2:
-                raise ParseError(lineno, cols[0], "expected: input <name>")
+                raise error(0, "expected: input <name>")
             name = tokens[1]
             if not NAME_RE.match(name):
-                raise ParseError(lineno, cols[1], f"invalid name '{name}'")
+                raise error(1, f"invalid name '{name}'")
             if name in defined:
-                raise ParseError(lineno, cols[1], f"duplicate name '{name}'")
+                raise error(1, f"duplicate name '{name}'")
             inputs.append(name)
             defined.add(name)
 
         elif kind == "gate":
             if len(tokens) < 3:
-                raise ParseError(lineno, cols[0], "expected: gate <name> ...")
+                raise error(0, "expected: gate <name> ...")
             name = tokens[1]
             if not NAME_RE.match(name):
-                raise ParseError(lineno, cols[1], f"invalid name '{name}'")
+                raise error(1, f"invalid name '{name}'")
             if name in defined:
-                raise ParseError(lineno, cols[1], f"duplicate name '{name}'")
+                raise error(1, f"duplicate name '{name}'")
             if tokens[2] == "min":
+                first = 3
                 refs = tokens[3:]
-                ref_cols = cols[3:]
                 if len(refs) != 3:
-                    raise ParseError(lineno, cols[2], "min gate takes exactly 3 refs")
+                    raise error(2, "min gate takes exactly 3 refs")
                 weights = (-1, -1, -1)
             else:
-                refs, ref_cols, weights_list = [], [], []
-                for tok, col in zip(tokens[2:], cols[2:]):
+                first = 2
+                refs, weights_list = [], []
+                for k, tok in enumerate(tokens[2:], 2):
                     m = WEIGHT_RE.match(tok)
                     if not m:
-                        raise ParseError(
-                            lineno, col, f"expected w=<int>:<ref>, got '{tok}'"
-                        )
+                        raise error(k, f"expected w=<int>:<ref>, got '{tok}'")
                     w = int(m.group(1))
                     if w == 0:
-                        raise ParseError(lineno, col, "zero weight")
+                        raise error(k, "zero weight")
                     weights_list.append(w)
                     refs.append(m.group(2))
-                    ref_cols.append(col + m.start(2))
                 weights = tuple(weights_list)
-            for ref, col in zip(refs, ref_cols):
+            for k, ref in enumerate(refs, first):
                 if ref not in defined:
-                    raise ParseError(lineno, col, f"unknown reference '{ref}'")
+                    # a w= token's reference starts after its colon
+                    offset = tokens[k].index(":") + 1 if first == 2 else 0
+                    raise error(k, f"unknown reference '{ref}'", offset)
             if len(refs) > MAX_INPUTS:
-                raise ParseError(
-                    lineno,
-                    cols[1],
+                raise error(
+                    1,
                     f"gate '{name}': fan-in {len(refs)} exceeds the "
                     f"{MAX_INPUTS}-input ceiling",
                 )
-            gate = SpinMinorityGate(weights)
-            ties = gate.tie_assignments()
-            if ties:
-                raise ParseError(
-                    lineno, cols[1], f"gate '{name}': tie at assignment {ties[0]}"
-                )
+            gate = gate_of.get(weights)
+            if gate is None:
+                gate = gate_of[weights] = SpinMinorityGate(weights)
+                ties = gate.tie_assignments()
+                if ties:
+                    raise error(1, f"gate '{name}': tie at assignment {ties[0]}")
             gates.append(GateDef(name, gate, tuple(refs)))
             defined.add(name)
 
         elif kind == "output":
             if len(tokens) != 4 or tokens[2] != "=":
-                raise ParseError(
-                    lineno, cols[0], "expected: output <name> = [!]<ref>"
-                )
+                raise error(0, "expected: output <name> = [!]<ref>")
             name = tokens[1]
             if not NAME_RE.match(name):
-                raise ParseError(lineno, cols[1], f"invalid name '{name}'")
+                raise error(1, f"invalid name '{name}'")
             if name in out_names:
-                raise ParseError(lineno, cols[1], f"duplicate output name '{name}'")
+                raise error(1, f"duplicate output name '{name}'")
             target = tokens[3]
             invert = target.startswith("!")
             ref = target[1:] if invert else target
             if not NAME_RE.match(ref):
-                raise ParseError(lineno, cols[3], f"invalid reference '{ref}'")
+                raise error(3, f"invalid reference '{ref}'")
             if ref not in defined:
-                raise ParseError(lineno, cols[3], f"unknown reference '{ref}'")
+                raise error(3, f"unknown reference '{ref}'")
             outputs.append(OutputDef(name, ref, invert))
             out_names.add(name)
 
         else:
-            raise ParseError(lineno, cols[0], f"unknown statement '{kind}'")
+            raise error(0, f"unknown statement '{kind}'")
 
     if not outputs:
         raise ParseError(max(1, text.count("\n") + 1), 1, "netlist has no outputs")

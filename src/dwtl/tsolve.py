@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Union
 
-from .gates import ThresholdGate
+from .gates import ThresholdGate, _weighted_at_least
 from .table import TruthTable, assignment_of, input_pattern, input_patterns
 
 SOLVE_MAX_INPUTS = 10
@@ -260,8 +260,9 @@ def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
         for j, v in zip(live, values):
             weights[j] = v // scale
         threshold = values[-1] // scale
-        candidate = ThresholdGate(tuple(weights), threshold).truth_table()
-        wrong = (candidate.bits ^ g) & boundary
+        # positive form: every weight >= 0, so the kernel's bound is T itself
+        candidate = _weighted_at_least(weights, patterns, full, threshold)
+        wrong = (candidate ^ g) & boundary
         if not wrong:
             break
         work.append((wrong & -wrong).bit_length() - 1)

@@ -103,6 +103,16 @@ def test_verify_wide_adder_states_sampling(tmp_path, capsys):
     assert "seed=0xd0da11" in out
 
 
+def test_verify_refuses_negative_vector_count(tmp_path, capsys):
+    path = tmp_path / "fa12.dwtl"
+    assert run(["gen", "adder", "--bits", "12", "--style", "weighted",
+                "-o", str(path)]) == 0
+    assert run(["verify", str(path), "--spec", "adder:12",
+                "--vectors", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "number of vectors must be non-negative, got -1" in err
+
+
 def test_verify_seed_changes_are_deterministic(tmp_path, capsys):
     path = tmp_path / "fa14.dwtl"
     run(["gen", "adder", "--bits", "14", "--style", "nand", "-o", str(path)])

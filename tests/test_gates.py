@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dwtl import SpinMinorityGate, ThresholdGate, TieError, ArityError, TooManyInputsError
+from dwtl.gates import _weighted_at_least
 from dwtl.table import assignment_of
 
 
@@ -202,6 +203,40 @@ def test_tables_and_ties_match_direct_sums_random():
             tt = tg.truth_table()
             assert [tt.bit(i) for i in range(1 << n)] == [tg.eval(x) for x in rows]
     assert 0 < tie_prone < 200
+
+
+def test_weighted_at_least_matches_row_sums_on_wide_operands():
+    # the kernel against a row-by-row sum, on operands of up to 300 rows;
+    # each sign split is drawn, since more negative than positive magnitude
+    # takes the complemented branch and the rest the direct one
+    rng = random.Random(29)
+    magnitudes = [0, 1, 2, 3, 5, 8, 1 << 40]
+    splits = {"negative": 0, "equal": 0, "positive": 0}
+    for trial in range(150):
+        split = list(splits)[trial % 3]
+        n = rng.randint(1, 6)
+        weights = [rng.choice(magnitudes) * rng.choice((-1, 1)) for _ in range(n)]
+        if split == "equal":
+            weights += [-w for w in weights]
+            rng.shuffle(weights)
+        elif (sum(weights) < 0) != (split == "negative") or sum(weights) == 0:
+            weights = [-w for w in weights] + [-1 if split == "negative" else 1]
+        s = sum(weights)
+        splits["negative" if s < 0 else "equal" if s == 0 else "positive"] += 1
+        width = rng.randint(1, 300)
+        srcs = [rng.getrandbits(width) for _ in weights]
+        row_sums = [
+            sum(
+                abs(w) * (((src >> v) & 1) ^ (w < 0))
+                for w, src in zip(weights, srcs)
+            )
+            for v in range(width)
+        ]
+        total = sum(map(abs, weights))
+        for bound in (-5, 0, 1, total // 2, total // 2 + 1, total, total + 1):
+            got = _weighted_at_least(weights, srcs, (1 << width) - 1, bound)
+            assert got == sum(1 << v for v, r in enumerate(row_sums) if r >= bound)
+    assert splits == {"negative": 50, "equal": 50, "positive": 50}
 
 
 def test_sweeps_above_the_ceiling_refused():

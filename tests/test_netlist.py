@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from fractions import Fraction
@@ -22,6 +23,7 @@ from dwtl.constructions import (
     adder_reference_patterns,
     adder_spec_tables,
     minority_full_adder,
+    nand_adder,
     ripple_adder,
 )
 
@@ -196,6 +198,55 @@ def test_tie_check_sweeps_each_gate_once(monkeypatch):
     assert sweeps == [4, 4]
 
 
+def test_signal_release_keeps_outputs():
+    # outputs read primary inputs and a gate that later gates also read;
+    # g reads a twice; the three min gates share one parsed gate object
+    net = parse_netlist(
+        "input a\ninput b\ninput c\n"
+        "gate g min a a b\ngate h min g b c\ngate k min g h a\n"
+        "gate m w=1:k w=-1:g w=1:c\n"
+        "output pa = a\noutput pc = !c\noutput pg = !g\noutput pm = m\n"
+    )
+    assert net.gates[0].gate is net.gates[1].gate is net.gates[2].gate
+    patterns = {"a": 0xF0, "b": 0xCC, "c": 0xAA}
+    want = {}
+    for v in range(8):
+        x = {name: (p >> v) & 1 for name, p in patterns.items()}
+        g = MIN3.eval((x["a"], x["a"], x["b"]))
+        h = MIN3.eval((g, x["b"], x["c"]))
+        k = MIN3.eval((g, h, x["a"]))
+        m = net.gates[3].gate.eval((k, g, x["c"]))
+        for name, bit in (("pa", x["a"]), ("pc", 1 - x["c"]), ("pg", 1 - g), ("pm", m)):
+            want[name] = want.get(name, 0) | bit << v
+    # the second call reuses the last readers found by the first
+    assert net.evaluate_patterns(patterns, 8) == want
+    assert net.evaluate_patterns(patterns, 8) == want
+    # a pattern of -1 or one wider than ``width`` is masked to ``width``
+    wide = {"a": -1, "b": 0xCC | 1 << 70, "c": 0xAA | 0xF00}
+    assert net.evaluate_patterns(wide, 8)["pa"] == 0xFF
+    assert net.evaluate_patterns(wide, 8)["pc"] == 0x55
+    assert net.evaluate_patterns(wide, 8) == net.evaluate_patterns(
+        {"a": 0xFF, "b": 0xCC, "c": 0xAA}, 8
+    )
+
+
+def test_evaluation_holds_only_live_signals():
+    # a ripple adder's live frontier is a few signals; keeping all 576 gates
+    # of the 64-bit NAND adder at 10^5 vectors would hold about 7 MB
+    net = nand_adder(64)
+    rng = random.Random(3)
+    width = 100_000
+    patterns = {name: rng.getrandbits(width) for name in net.free_inputs}
+    tracemalloc.start()
+    try:
+        net.evaluate_patterns(patterns, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 65 outputs alone are about 0.8 MB
+    assert peak < 2_000_000
+
+
 def test_truth_tables_adder():
     tts = minority_full_adder().truth_tables()
     assert tts["sum0"].bits == 0x96
@@ -279,6 +330,31 @@ def test_sampled_equivalence_detects_break():
     )
     assert not res.equivalent
     assert res.counterexample.output == "sum2"
+
+
+def test_sampled_vectors_are_seeded_bits_then_corners():
+    # bit v < 50 of input j is the seed's stream; then all-zeros (bit 50),
+    # all-ones (bit 51) and single-hot j (bit 52 + j)
+    seen = {}
+    oracle = adder_reference_patterns(2)
+
+    def reference(patterns, width):
+        seen.update(patterns)
+        return oracle(patterns, width)
+
+    net = ripple_adder(2)
+    assert check_equivalence_sampled(net, reference, seed=3, num_vectors=50)
+    rng = random.Random(3)
+    assert list(seen) == list(net.free_inputs)
+    for j, name in enumerate(net.free_inputs):
+        assert seen[name] == rng.getrandbits(50) | (0b10 | 1 << (j + 2)) << 50
+
+
+def test_sampled_equivalence_refuses_negative_vector_count():
+    with pytest.raises(NetlistError, match="got -1"):
+        check_equivalence_sampled(
+            ripple_adder(4), adder_reference_patterns(4), num_vectors=-1
+        )
 
 
 def test_cost_report_fig1():

@@ -94,6 +94,13 @@ def test_error_column_is_the_offending_token():
         ("input x\ngate g w=-1:x w=1:e\n", (2, 19), "unknown reference 'e'"),
         ("input a\ngate mine min a a\n", (2, 11), "exactly 3 refs"),
         ("input t\noutput t = !u\n", (2, 12), "unknown reference 'u'"),
+        ("input a\ngate g w=-1:a w=-0:a\n", (2, 15), "zero weight"),
+        ("input a\ngate w w=1:a w=1\n", (2, 14), "got 'w=1'"),
+        ("input a\ninput b\ngate bc min a b c\n", (3, 17), "unknown reference 'c'"),
+        ("input a\ngate a1 w=1:a w=1:a1\n", (2, 19), "unknown reference 'a1'"),
+        # tabs are one column each; the comment's tokens are not read
+        ("input\ta\ngate\tg\tw=-1:a\tw=1:q\n", (2, 19), "unknown reference 'q'"),
+        ("input a\ngate g min a a #b\n", (2, 8), "exactly 3 refs"),
     ]
     for text, position, reason in cases:
         with pytest.raises(ParseError) as exc:
