@@ -29,6 +29,7 @@ from .textio import (
     print_netlist,
 )
 from .tsolve import (
+    MINIMIZE_MAX_INPUTS,
     NotThreshold,
     NotThresholdError,
     minimize_weights,
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tt", required=True, metavar="n:hex",
                    help="truth table, e.g. 3:0x96")
     p.add_argument("--minimize", action="store_true",
-                   help="minimize total |w| (exhaustive, n <= 6)")
+                   help=f"minimize total |w| (exact, n <= {MINIMIZE_MAX_INPUTS})")
     add_format(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -208,6 +208,27 @@ def _separation_lp(
     return Fraction(0), values
 
 
+def _flip(bits: int, j: int, patterns: list[int]) -> int:
+    """The table under x_j -> 1 - x_j: the blocks of input_pattern(j, n) swap."""
+    return ((bits & patterns[j]) >> (1 << j)) | ((bits & ~patterns[j]) << (1 << j))
+
+
+def _positive_form(
+    tt: TruthTable, unate: Unateness, patterns: list[int]
+) -> tuple[int, int, int]:
+    """(g, mins, maxs): the table with its '-' variables flipped, its minimal
+    true rows and its maximal false rows."""
+    g = tt.bits
+    for j, p in enumerate(unate.polarities):
+        if p == "-":
+            g = _flip(g, j, patterns)
+    lowered = raised = 0  # rows with a true row below / a false row above
+    for j, pattern in enumerate(patterns):
+        lowered |= pattern & (g << (1 << j))
+        raised |= ~pattern & (~g >> (1 << j))
+    return g, g & ~lowered, ((1 << tt.num_rows) - 1) & ~g & ~raised
+
+
 def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
     """``solve_threshold`` given the table's unateness.
 
@@ -234,15 +255,7 @@ def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
     patterns = input_patterns(n)
     flipped = [j for j, p in enumerate(unate.polarities) if p == "-"]
     live = [j for j, p in enumerate(unate.polarities) if p != "0"]
-    g = tt.bits
-    for j in flipped:  # x_j -> 1 - x_j swaps the blocks of input_pattern(j, n)
-        g = ((g & patterns[j]) >> (1 << j)) | ((g & ~patterns[j]) << (1 << j))
-    lowered = raised = 0  # rows with a true row below / a false row above
-    for j, pattern in enumerate(patterns):
-        lowered |= pattern & (g << (1 << j))
-        raised |= ~pattern & (~g >> (1 << j))
-    mins = g & ~lowered
-    maxs = full & ~g & ~raised
+    g, mins, maxs = _positive_form(tt, unate, patterns)
     boundary = mins | maxs
 
     work = []
@@ -289,12 +302,14 @@ def solve_threshold(tt: TruthTable) -> SolveResult:
 def minimize_weights(tt: TruthTable) -> ThresholdRealization:
     """Realization with minimal total |w|, ties broken lexicographically.
 
-    Iterative deepening on the per-weight bound B: any realization with
-    sum|w| = S has every |w_j| <= S, so the first minimum found with
-    sum|w| <= B + 1 is globally minimal. The polarities fix the signs: no
-    realization weights a '+' variable below 0 or a '-' variable above 0,
-    and a weight on a '0' variable can be set to 0 with a smaller sum, so
-    every minimal realization lies in the box searched.
+    '0' variables get weight 0, live ones a magnitude signed by polarity.
+    The compositions of S = live, live + 1, ... are tried as magnitudes on
+    the positive form's boundary rows: feasible when every maximal false row
+    sums below every minimal true row, and T is one above the largest false
+    sum. The first feasible S is the minimum. Only compositions in strict
+    Chow order are built: |m_i| > |m_j| forces |w_i| > |w_j| (Chow, 1961).
+    A constant table gets zero weights and T = 1 (for 0) or -n (for 1).
+    The exact LP runs first: a non-threshold table raises NotThresholdError.
     """
     n = tt.num_inputs
     if n > MINIMIZE_MAX_INPUTS:
@@ -306,38 +321,45 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
     if isinstance(probe, NotThreshold):
         raise NotThresholdError(probe)
 
-    B = 0
-    while True:
-        B += 1
-        best: tuple[int, tuple[int, ...], int] | None = None
-        signed = {"+": range(0, B + 1), "-": range(-B, 1), "0": (0,)}
-        for w in product(*(signed[p] for p in unate.polarities)):
-            s = sum(abs(v) for v in w)
-            if best is not None and s > best[0]:
-                continue
-            sums = [0]
-            for wj in w:
-                sums += [v + wj for v in sums]
-            t_max = n * B + 1
-            min_on = t_max  # T may not exceed the allowed ceiling
-            max_off = -n * B - 1  # T floor is -n*B
-            for i, v in enumerate(sums):
-                if (tt.bits >> i) & 1:
-                    if v < min_on:
-                        min_on = v
-                else:
-                    if v > max_off:
-                        max_off = v
-            if max_off < min_on:
-                cand = (s, w, max_off + 1)
-                if best is None or cand < best:
-                    best = cand
-        if best is not None and best[0] <= B + 1:
-            s, w, t = best
-            gate = ThresholdGate(weights=w, threshold=t)
-            if gate.truth_table() != tt:
-                raise RuntimeError("minimized gate failed re-evaluation")
-            return ThresholdRealization(gate=gate, minimal=True)
+    chow = [abs(m) for m in chow_parameters(tt).m]
+    live = [j for j, p in enumerate(unate.polarities) if p != "0"]
+    order = sorted(live, key=lambda j: -chow[j])  # strongest first
+    _, mins, maxs = _positive_form(tt, unate, input_patterns(n))
+    on_rows, off_rows = (
+        [[k for k, j in enumerate(order) if i >> j & 1]
+         for i in range(tt.num_rows) if rows >> i & 1]
+        for rows in (mins, maxs)
+    )
+
+    def parts(p: int, rem: int, cap: int, low: int):
+        """Parts for order[p:]: each <= cap, below every part of a stronger group."""
+        if p == len(order):
+            yield ()
+            return
+        if p and chow[order[p]] != chow[order[p - 1]]:
+            cap, low = low - 1, rem  # low: the least part of the current group
+        rest = len(order) - p - 1
+        for v in range(max(1, rem - rest * cap), min(cap, rem - rest) + 1):
+            for tail in parts(p + 1, rem - v, cap, min(low, v)):
+                yield (v, *tail)
+
+    best = None
+    total = len(order)
+    while order and best is None:
+        for mags in parts(0, total, total, total):
+            max_off = max(sum(mags[k] for k in row) for row in off_rows)
+            if all(sum(mags[k] for k in row) > max_off for row in on_rows):
+                w = [0] * n
+                for j, v in zip(order, mags):
+                    w[j] = v if unate.polarities[j] == "+" else -v
+                cand = (tuple(w), max_off + 1 + sum(v for v in w if v < 0))
+                best = min(best or cand, cand)
+        total += 1
+    w, t = best or ((0,) * n, -n if tt.bits else 1)
+    gate = ThresholdGate(weights=w, threshold=t)
+    if gate.truth_table() != tt:
+        raise RuntimeError("minimized gate failed re-evaluation")
+    return ThresholdRealization(gate=gate, minimal=True)
 
 
 @dataclass(frozen=True)
@@ -378,11 +400,8 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
             continue
         flips = [f]
         for j, p in enumerate(unate.polarities):
-            if p == "+":  # x_j -> 1 - x_j swaps the blocks of input_pattern(j, n)
-                d = 1 << j
-                flips += [
-                    ((g & patterns[j]) >> d) | ((g & ~patterns[j]) << d) for g in flips
-                ]
+            if p == "+":
+                flips += [_flip(g, j, patterns) for g in flips]
         tables += flips
     tables.sort()
     return ThresholdEnumeration(num_inputs=n, count=len(tables), tables=tuple(tables))

@@ -296,3 +296,86 @@ def test_minimize_matches_unrestricted_search():
         assert (gate.weight_magnitude_sum, gate.weights, gate.threshold) == (
             _minimize_unrestricted(tt)
         ), tt
+
+
+def _minimize_by_box(tt):
+    # iterative deepening on the per-weight bound B, signs fixed by the
+    # polarities: the first minimum found with sum|w| <= B + 1 is global
+    n = tt.num_inputs
+    polarities = is_unate(tt).polarities
+    B = 0
+    while True:
+        B += 1
+        best = None
+        signed = {"+": range(0, B + 1), "-": range(-B, 1), "0": (0,)}
+        for w in itertools.product(*(signed[p] for p in polarities)):
+            s = sum(map(abs, w))
+            sums = [0]
+            for wj in w:
+                sums += [v + wj for v in sums]
+            min_on = n * B + 1
+            max_off = -n * B - 1
+            for i, v in enumerate(sums):
+                if (tt.bits >> i) & 1:
+                    min_on = min(min_on, v)
+                else:
+                    max_off = max(max_off, v)
+            if max_off < min_on and (best is None or (s, w, max_off + 1) < best):
+                best = (s, w, max_off + 1)
+        if best is not None and best[0] <= B + 1:
+            return best
+
+
+def test_minimize_matches_box_search():
+    rng = random.Random(43)
+    cases = [TruthTable(3, f) for f in sorted(threshold_tables_by_search(3, 2))]
+    n4 = sorted(threshold_tables_by_search(4, 3))
+    cases += [TruthTable(4, f) for f in rng.sample(n4, 60)]
+    for tt in cases:
+        gate = minimize_weights(tt).gate
+        assert (gate.weight_magnitude_sum, gate.weights, gate.threshold) == (
+            _minimize_by_box(tt)
+        ), tt
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minimize_constant_tables(n):
+    zero = minimize_weights(TruthTable(n, 0))
+    one = minimize_weights(TruthTable(n, (1 << (1 << n)) - 1))
+    assert zero.minimal and one.minimal
+    assert (zero.gate.weights, zero.gate.threshold) == ((0,) * n, 1)
+    assert (one.gate.weights, one.gate.threshold) == ((0,) * n, -n)
+
+
+@pytest.mark.parametrize(
+    "weights,threshold,expected",
+    [
+        ((1, 2, 3, 4, 5, 6), 11, ((1, 2, 2, 3, 4, 5), 9)),
+        ((1, 1, 1, 2, 2, 3), 5, ((1, 1, 1, 2, 2, 3), 5)),
+    ],
+)
+def test_minimize_six_inputs_in_seconds(weights, threshold, expected):
+    tt = ThresholdGate(weights, threshold).truth_table()
+    start = time.perf_counter()
+    gate = minimize_weights(tt).gate
+    assert time.perf_counter() - start < 10
+    assert (gate.weights, gate.threshold) == expected
+
+
+def test_minimize_random_six_inputs_keep_chow_order():
+    # |m_i| > |m_j| forces |w_i| > |w_j| in every realization
+    rng = random.Random(47)
+    start = time.perf_counter()
+    for _ in range(20):
+        w = tuple(rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(6))
+        t = rng.randint(sum(v for v in w if v < 0) + 1, sum(v for v in w if v > 0))
+        tt = ThresholdGate(w, t).truth_table()
+        res = minimize_weights(tt)
+        assert res.minimal and res.gate.truth_table() == tt
+        assert res.gate.weight_magnitude_sum <= sum(map(abs, w))
+        m = [abs(v) for v in chow_parameters(tt).m]
+        got = [abs(v) for v in res.gate.weights]
+        for i, j in itertools.permutations(range(6), 2):
+            if m[i] > m[j]:
+                assert got[i] > got[j], (w, t, res.gate)
+    assert time.perf_counter() - start < 10
