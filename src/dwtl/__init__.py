@@ -1,87 +1,50 @@
-"""Weighted spin-minority / threshold logic toolkit."""
+"""Weighted spin-minority / threshold logic toolkit.
 
-from .gates import (
-    ArityError,
-    SpinMinorityGate,
-    ThresholdGate,
-    TieError,
-    bit_to_spin,
-    spin_to_bit,
-)
-from .netlist import (
-    CONST_ONE,
-    CostReport,
-    Counterexample,
-    EquivalenceResult,
-    GateDef,
-    Netlist,
-    NetlistError,
-    OutputDef,
-    check_equivalence,
-    check_equivalence_sampled,
-    cost_report,
-)
-from .table import MAX_INPUTS, TooManyInputsError, TruthTable
-from .textio import (
-    ParseError,
-    format_truth_table,
-    parse_netlist,
-    parse_truth_table,
-    print_netlist,
-)
-from .tsolve import (
-    ChowVector,
-    NotThreshold,
-    NotThresholdError,
-    NotUnate,
-    ThresholdRealization,
-    Unateness,
-    chow_parameters,
-    enumerate_threshold_functions,
-    is_unate,
-    minimize_weights,
-    solve_threshold,
-    threshold_tables_by_search,
-)
-from . import constructions
+``import dwtl`` loads no submodule: each public name below imports its home
+module on first access (PEP 562), so a process pays only for what it uses.
+"""
 
-__all__ = [
-    "ArityError",
-    "CONST_ONE",
-    "ChowVector",
-    "CostReport",
-    "Counterexample",
-    "EquivalenceResult",
-    "GateDef",
-    "MAX_INPUTS",
-    "Netlist",
-    "NetlistError",
-    "NotThreshold",
-    "NotThresholdError",
-    "NotUnate",
-    "OutputDef",
-    "ParseError",
-    "SpinMinorityGate",
-    "ThresholdGate",
-    "ThresholdRealization",
-    "TieError",
-    "TooManyInputsError",
-    "TruthTable",
-    "Unateness",
-    "bit_to_spin",
-    "check_equivalence",
-    "check_equivalence_sampled",
-    "chow_parameters",
-    "constructions",
-    "cost_report",
-    "enumerate_threshold_functions",
-    "format_truth_table",
-    "is_unate",
-    "minimize_weights",
-    "parse_netlist",
-    "parse_truth_table",
-    "print_netlist",
-    "solve_threshold",
-    "spin_to_bit",
-    "threshold_tables_by_search",
-]
+import importlib
+
+_HOME = {
+    name: module
+    for module, names in {
+        "gates": (
+            "ArityError", "SpinMinorityGate", "ThresholdGate", "TieError",
+            "bit_to_spin", "spin_to_bit",
+        ),
+        "netlist": (
+            "CONST_ONE", "CostReport", "Counterexample", "EquivalenceResult",
+            "GateDef", "Netlist", "NetlistError", "OutputDef",
+            "check_equivalence", "check_equivalence_sampled", "cost_report",
+        ),
+        "table": ("MAX_INPUTS", "TooManyInputsError", "TruthTable"),
+        "textio": (
+            "ParseError", "format_truth_table", "parse_netlist",
+            "parse_truth_table", "print_netlist",
+        ),
+        "tsolve": (
+            "ChowVector", "NotThreshold", "NotThresholdError", "NotUnate",
+            "ThresholdRealization", "Unateness", "chow_parameters",
+            "enumerate_threshold_functions", "is_unate", "minimize_weights",
+            "solve_threshold", "threshold_tables_by_search",
+        ),
+        "constructions": ("constructions",),  # the module itself
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    value = module if name == _HOME[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

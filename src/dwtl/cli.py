@@ -1,55 +1,36 @@
 """Command-line interface: evaluate, verify, synthesize, generate, report.
 
 Exit codes: 0 success / equivalent / threshold, 1 verified-false /
-not-threshold, 2 usage or input error.
+not-threshold, 2 usage or input error. Each command imports the modules it
+runs, so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import constructions
-from .netlist import (
-    DEFAULT_SAMPLE_VECTORS,
-    DEFAULT_SEED,
-    Netlist,
-    NetlistError,
-    check_equivalence,
-    check_equivalence_sampled,
-    cost_report,
-)
-from .table import MAX_INPUTS
-from .textio import (
-    ParseError,
-    format_truth_table,
-    parse_netlist,
-    parse_truth_table,
-    print_netlist,
-)
-from .tsolve import (
-    MINIMIZE_MAX_INPUTS,
-    NotThreshold,
-    NotThresholdError,
-    minimize_weights,
-    solve_threshold,
-)
+from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, MAX_INPUTS, MINIMIZE_MAX_INPUTS
 
-GEN_STYLES = {
-    "minority": constructions.minority_adder,
-    "weighted": constructions.ripple_adder,
-    "nand": constructions.nand_adder,
-}
+if TYPE_CHECKING:
+    from .netlist import Netlist
+
+# style -> builder in dwtl.constructions
+GEN_STYLES = {"minority": "minority_adder", "weighted": "ripple_adder", "nand": "nand_adder"}
 
 
 def _load_netlist(path: str) -> Netlist:
+    from .textio import parse_netlist
+
     with open(path, "r", encoding="utf-8") as fh:
         return parse_netlist(fh.read())
 
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -57,6 +38,8 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .netlist import NetlistError
+
     net = _load_netlist(args.netlist)
     assignment = {}
     for pair in args.set.split(","):
@@ -65,7 +48,10 @@ def _cmd_eval(args) -> int:
         name, _, value = pair.partition("=")
         if value not in ("0", "1"):
             raise NetlistError(f"input '{name}' must be 0 or 1, got '{value}'")
-        assignment[name.strip()] = int(value)
+        name = name.strip()
+        if name in assignment:
+            raise NetlistError(f"input '{name}' is set more than once")
+        assignment[name] = int(value)
     extra = set(assignment) - set(net.free_inputs)
     if extra:
         raise NetlistError(f"unknown inputs: {sorted(extra)}")
@@ -76,6 +62,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_tt(args) -> int:
+    from .textio import format_truth_table
+
     net = _load_netlist(args.netlist)
     tables = net.truth_tables()
     lines = [
@@ -91,6 +79,9 @@ def _cmd_tt(args) -> int:
 
 def _parse_spec(spec: str):
     """Returns either ('adder', n_bits) or ('tables', {name: TruthTable})."""
+    from .netlist import NetlistError
+    from .textio import parse_truth_table
+
     if spec.startswith("adder:"):
         n_bits = int(spec.split(":", 1)[1])
         return ("adder", n_bits)
@@ -106,6 +97,9 @@ def _parse_spec(spec: str):
 
 
 def _cmd_verify(args) -> int:
+    from . import constructions
+    from .netlist import NetlistError, check_equivalence, check_equivalence_sampled
+
     net = _load_netlist(args.netlist)
     kind, spec = _parse_spec(args.spec)
     n_free = len(net.free_inputs)
@@ -171,6 +165,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .textio import parse_truth_table
+    from .tsolve import NotThreshold, NotThresholdError, minimize_weights, solve_threshold
+
     tt = parse_truth_table(args.tt)
     try:
         result = minimize_weights(tt) if args.minimize else solve_threshold(tt)
@@ -208,8 +205,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    builder = GEN_STYLES[args.style]
-    net = builder(args.bits)
+    from . import constructions
+    from .textio import print_netlist
+
+    net = getattr(constructions, GEN_STYLES[args.style])(args.bits)
     text = print_netlist(net)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -220,6 +219,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .netlist import cost_report
+
     net = _load_netlist(args.netlist)
     report = cost_report(net, args.baseline)
     one_dp = report.reduction_one_decimal()
@@ -314,7 +315,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NetlistError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, NetlistError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .gates import SpinMinorityGate, TieError
-from .table import TruthTable, input_patterns
+from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, TruthTable, input_patterns
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 CONST_ONE = "one"
-
-DEFAULT_SEED = 0xD0DA11
-DEFAULT_SAMPLE_VECTORS = 100_000
 
 
 class NetlistError(ValueError):
@@ -220,6 +219,9 @@ def check_equivalence_sampled(
     """
     if num_vectors < 0:
         raise NetlistError(f"number of vectors must be non-negative, got {num_vectors}")
+    if seed < 0:
+        # random.Random(-s) draws the same vectors as Random(s)
+        raise NetlistError(f"seed must be non-negative, got {seed}")
     names = net.free_inputs
     n = len(names)
     rng = random.Random(seed)
@@ -294,11 +296,13 @@ class CostReport:
 
 
 def _round_half_up(value: Fraction) -> int:
-    return int((value + Fraction(1, 2)).__floor__())
+    return (2 * value.numerator + value.denominator) // (2 * value.denominator)
 
 
 def cost_report(net: Netlist, baseline_count: int) -> CostReport:
     """Graph metrics plus the device-count reduction against a baseline."""
+    from fractions import Fraction  # here, so evaluation never loads fractions
+
     if baseline_count < 1:
         raise NetlistError("baseline_count must be >= 1")
     fanout: dict[str, int] = {}

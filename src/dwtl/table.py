@@ -4,7 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_INPUTS = 24
+# every input ceiling lives here, so the CLI states them without loading a solver
+MAX_INPUTS = 24  # exhaustive tables and sweeps
+SOLVE_MAX_INPUTS = 10
+MINIMIZE_MAX_INPUTS = 6
+ENUMERATE_MAX_INPUTS = 5
+
+# past MAX_INPUTS, verification samples seeded random vectors instead
+DEFAULT_SEED = 0xD0DA11
+DEFAULT_SAMPLE_VECTORS = 100_000
 
 
 class TooManyInputsError(ValueError):

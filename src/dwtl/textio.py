@@ -15,10 +15,13 @@ single-spaced, newline-terminated, and round-trips bit-exactly.
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 from .gates import SpinMinorityGate
-from .netlist import GateDef, Netlist, OutputDef
 from .table import MAX_INPUTS, TruthTable
+
+if TYPE_CHECKING:
+    from .netlist import Netlist
 
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 WEIGHT_RE = re.compile(r"^w=(-?\d+):([A-Za-z_][A-Za-z0-9_]*)$")
@@ -37,6 +40,8 @@ class ParseError(ValueError):
 
 
 def parse_netlist(text: str) -> Netlist:
+    from .netlist import GateDef, Netlist, OutputDef  # here: truth tables need no netlist
+
     inputs: list[str] = []
     gates: list[GateDef] = []
     outputs: list[OutputDef] = []

@@ -24,11 +24,8 @@ from itertools import product
 from typing import Union
 
 from .gates import ThresholdGate, _weighted_at_least
+from .table import ENUMERATE_MAX_INPUTS, MINIMIZE_MAX_INPUTS, SOLVE_MAX_INPUTS
 from .table import TruthTable, assignment_of, input_pattern, input_patterns
-
-SOLVE_MAX_INPUTS = 10
-MINIMIZE_MAX_INPUTS = 6
-ENUMERATE_MAX_INPUTS = 5
 
 
 class NotThresholdError(ValueError):

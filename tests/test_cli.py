@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import time
 
 import pytest
 
 import dwtl.tsolve
+from dwtl import parse_netlist, print_netlist
 from dwtl.cli import run
 
 
@@ -69,6 +72,13 @@ def test_eval_bad_input(fa1, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_refuses_repeated_input(fa1, capsys):
+    assert run(["eval", str(fa1), "--set", "cin=1,a0=1,b0=0,cin=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input 'cin' is set more than once\n"
+    assert captured.out == ""
+
+
 def test_tt_text(fa1, capsys):
     assert run(["tt", str(fa1)]) == 0
     out = capsys.readouterr().out
@@ -113,6 +123,17 @@ def test_verify_refuses_negative_vector_count(tmp_path, capsys):
     assert "number of vectors must be non-negative, got -1" in err
 
 
+def test_verify_refuses_negative_seed(tmp_path, capsys):
+    path = tmp_path / "fa12.dwtl"
+    assert run(["gen", "adder", "--bits", "12", "--style", "weighted",
+                "-o", str(path)]) == 0
+    assert run(["verify", str(path), "--spec", "adder:12",
+                "--vectors", "10", "--seed", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be non-negative, got -5\n"
+    assert "seed=0x-5" not in captured.out
+
+
 def test_verify_seed_changes_are_deterministic(tmp_path, capsys):
     path = tmp_path / "fa14.dwtl"
     run(["gen", "adder", "--bits", "14", "--style", "nand", "-o", str(path)])
@@ -140,3 +161,44 @@ def test_gen_nand_verifies(tmp_path):
     assert run(["gen", "adder", "--bits", "1", "--style", "nand",
                 "-o", str(path)]) == 0
     assert run(["verify", str(path), "--spec", "adder:1"]) == 0
+
+
+def _carry_recurrence(assignment, bits):
+    carry, out = assignment["cin"], {}
+    for i in range(bits):
+        a, b = assignment[f"a{i}"], assignment[f"b{i}"]
+        out[f"sum{i}"] = a ^ b ^ carry
+        carry = (a & b) | (carry & (a ^ b))
+    out["cout"] = carry
+    return out
+
+
+@pytest.mark.parametrize(
+    "style, toggled", [("minority", "sum3"), ("weighted", "cout"), ("nand", "sum10")]
+)
+def test_verify_adder_11_exhaustive_within_5_s(tmp_path, capsys, style, toggled):
+    path = tmp_path / "fa11.dwtl"
+    assert run(["gen", "adder", "--bits", "11", "--style", style,
+                "-o", str(path)]) == 0
+    t0 = time.perf_counter()
+    code = run(["verify", str(path), "--spec", "adder:11"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert capsys.readouterr().out == "EQUIVALENT (8388608/8388608 rows exhaustive)\n"
+    assert elapsed < 5
+
+    net = parse_netlist(path.read_text())
+    mutant = dataclasses.replace(net, outputs=tuple(
+        dataclasses.replace(o, invert=not o.invert) if o.name == toggled else o
+        for o in net.outputs
+    ))
+    path.write_text(print_netlist(mutant))
+    assert run(["verify", str(path), "--spec", "adder:11", "--format", "json"]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert (result["equivalent"], result["mode"], result["vectors_checked"]) == (
+        False, "exhaustive", 1 << 23
+    )
+    cx = result["counterexample"]
+    assert cx["output"] == toggled
+    assert mutant.evaluate(cx["assignment"])[toggled] == cx["got"]
+    assert _carry_recurrence(cx["assignment"], 11)[toggled] == cx["want"] != cx["got"]

@@ -1,0 +1,120 @@
+"""What each import and each CLI subcommand loads, checked in fresh processes."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dwtl.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh(code: str, cwd=None) -> str:
+    """Run ``code`` in a new interpreter that imports dwtl from ./src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_dwtl_loads_no_submodule():
+    out = _fresh("import sys, dwtl; print([m for m in sys.modules if 'dwtl.' in m])")
+    assert out == "[]\n"
+
+
+def test_every_public_name_is_its_home_modules_object():
+    out = _fresh(
+        "import importlib, dwtl\n"
+        "bad = []\n"
+        "for name in dwtl.__all__:\n"
+        "    home = importlib.import_module('dwtl.' + dwtl._HOME[name])\n"
+        "    want = home if name == dwtl._HOME[name] else getattr(home, name)\n"
+        "    got = getattr(dwtl, name)\n"
+        "    defined_in = getattr(got, '__module__', home.__name__)\n"
+        "    if got is not want or defined_in != home.__name__:\n"
+        "        bad.append(name)\n"
+        "print(len(dwtl.__all__), bad, dwtl.__all__ == sorted(dwtl.__all__))\n"
+    )
+    assert out == "38 [] True\n"
+
+
+def test_star_import_binds_all():
+    out = _fresh(
+        "from dwtl import *\n"
+        "import dwtl\n"
+        "print(all(globals()[n] is getattr(dwtl, n) for n in dwtl.__all__))\n"
+    )
+    assert out == "True\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    out = _fresh(
+        "import dwtl\n"
+        "try:\n"
+        "    dwtl.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(hasattr(dwtl, 'parse_spec'), 'solve_threshold' in dir(dwtl))\n"
+    )
+    assert out == "module 'dwtl' has no attribute 'no_such_name'\nFalse True\n"
+
+
+def test_constructions_is_the_module():
+    out = _fresh(
+        "import sys, dwtl\n"
+        "print(dwtl.constructions is sys.modules['dwtl.constructions'])\n"
+    )
+    assert out == "True\n"
+
+
+BASE = {"dwtl", "dwtl.cli", "dwtl.table"}
+EVALUATE = BASE | {"dwtl.gates", "dwtl.netlist", "dwtl.textio"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["solve", "--tt", "3:0xe8", "--minimize"],
+         BASE | {"dwtl.gates", "dwtl.textio", "dwtl.tsolve"}),
+        (["eval", "fa.dwtl", "--set", "a0=1,a1=0,b0=1,b1=1,cin=0"], EVALUATE),
+        (["tt", "fa.dwtl"], EVALUATE),
+        (["report", "fa.dwtl", "--baseline", "30"], EVALUATE),
+        (["verify", "fa.dwtl", "--spec", "adder:2"], EVALUATE | {"dwtl.constructions"}),
+        (["verify", "fa.dwtl", "--spec", "sum0=5:0x0,sum1=5:0x0,cout=5:0x0"],
+         EVALUATE | {"dwtl.constructions"}),
+        (["gen", "adder", "--bits", "2", "--style", "nand"],
+         EVALUATE | {"dwtl.constructions"}),
+    ],
+    ids=["solve", "eval", "tt", "report", "verify", "verify-tables", "gen"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, modules, fmt):
+    assert run(["gen", "adder", "--bits", "2", "--style", "weighted",
+                "-o", str(tmp_path / "fa.dwtl")]) == 0
+    if fmt == "json" and argv[0] != "gen":
+        argv = argv + ["--format", "json"]
+    out = _fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import io\n"
+        "from contextlib import redirect_stdout\n"
+        "from dwtl.cli import run\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    code = run({argv!r})\n"
+        "new = set(sys.modules) - before\n"
+        "print(repr([code, sorted(m for m in new if m.startswith('dwtl')),\n"
+        "            'json' in new]))\n",
+        cwd=tmp_path,
+    )
+    code, loaded, loaded_json = ast.literal_eval(out)
+    assert code in (0, 1)
+    assert set(loaded) == modules
+    if fmt == "text":
+        assert not loaded_json

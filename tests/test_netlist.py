@@ -357,6 +357,17 @@ def test_sampled_equivalence_refuses_negative_vector_count():
         )
 
 
+def test_sampled_equivalence_refuses_negative_seed():
+    # random.Random(-5) would draw the vectors of Random(5)
+    with pytest.raises(NetlistError, match="seed must be non-negative, got -5"):
+        check_equivalence_sampled(
+            ripple_adder(4), adder_reference_patterns(4), seed=-5, num_vectors=10
+        )
+    assert check_equivalence_sampled(
+        ripple_adder(4), adder_reference_patterns(4), seed=0, num_vectors=10
+    )
+
+
 def test_cost_report_fig1():
     rep = cost_report(minority_full_adder(), 15)
     assert rep.gate_count == 3
