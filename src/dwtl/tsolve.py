@@ -12,7 +12,9 @@ form, where only the minimal true and maximal false rows matter (Muroga,
 *Threshold Logic and Its Applications*, 1971), and those are added to the
 LP one at a time, each time the lowest one that the current integer
 candidate, tabled by the packed gate kernel, gets wrong. Pivots run on
-integers, fraction-free (Edmonds/Bareiss).
+integers, fraction-free (Edmonds/Bareiss), on one tableau per solve: an
+added row is written into the current basis and the pivots go on from
+there, a warm start, instead of re-solving from an empty basis.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ class ThresholdRealization:
 class NotThreshold:
     """Infeasibility certificate from the exact separation LP.
 
-    ``infeasibility_gap`` is the phase-1 optimum (strictly positive) and
+    ``infeasibility_gap`` is the phase-1 optimum (strictly positive) of the
+    warm-started LP, whose added rows carry their own artificial columns, and
     ``num_constraints`` the number of rows in the final working set, which
     alone are infeasible: the 4 witness rows of a non-unate table, else the
     boundary rows added before the LP failed.
@@ -128,81 +131,85 @@ def is_unate(tt: TruthTable) -> Unateness | NotUnate:
     return Unateness(tuple(polarities))
 
 
-def _separation_lp(
-    coeffs: list[list[int]], on: list[bool]
-) -> tuple[Fraction, list[int]]:
-    """Phase-1 simplex with Bland's rule on an all-integer tableau.
+class _SeparationLP:
+    """Phase-1 simplex with Bland's rule on an all-integer tableau, warm-started.
 
-    Row i asks c_i . v >= 0 when ``on[i]``, else c_i . v <= -1, over columns
-    v >= 0. Pivots are fraction-free (Edmonds/Bareiss): the tableau holds
-    the true tableau times d, the determinant of the current basis, and
-    every update divides exactly by the previous d. Returns (gap, values):
-    a positive phase-1 optimum ``gap`` proves the rows infeasible (values
-    empty); with gap 0, ``values`` is a feasible v times d, in integers.
+    Each row asks c . v >= 0 (on) or c . v <= -1 (off) over columns v >= 0,
+    with its own slack s >= 0: -c.v + s = 0 or c.v + s = -1. Pivots are
+    fraction-free (Edmonds/Bareiss): ``rows`` hold the true tableau times
+    ``d``, the determinant of the current basis, with the RHS first, and
+    every update divides exactly by the previous d. The tableau, basis and
+    objective row persist between solves: ``add`` writes a new row in terms
+    of the current basis and ``solve`` pivots on from wherever the basis
+    stands, so a cold start is only rows added before the first solve.
+    ``pivots`` counts the pivots made so far.
     """
-    nv = len(coeffs[0])
-    ncols = nv + len(coeffs)  # the columns of v, then one slack/surplus per row
-    off = [i for i in range(len(coeffs)) if not on[i]]
-    total = ncols + len(off) + 1  # + one artificial per off row, + RHS
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    # both forms keep RHS >= 0:
-    #   on row:   -c.v + slack = 0                (slack basic)
-    #   off row:  -c.v - surplus + art = 1        (artificial basic)
-    for i, c in enumerate(coeffs):
-        row = [-v for v in c] + [0] * (total - nv)
-        if on[i]:
-            row[nv + i] = 1
-            basis.append(nv + i)
+
+    def __init__(self, nv: int):
+        self.nv = nv
+        self.d = 1
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
+        self.obj = [0] * (nv + 1)  # reduced costs of the sum of artificials, times d
+        self.pivots = 0
+
+    def add(self, c: list[int], on: bool) -> None:
+        """Pose one row, written in the current basis as d * row minus each
+        basic entry times its tableau row: exact, since every basic column
+        holds d. Its slack, worth d, is basic if the RHS is >= 0; otherwise
+        the row is negated and gets an artificial column worth d instead,
+        and the objective row loses the row."""
+        d, nv = self.d, self.nv
+        r = [-v for v in c] if on else c
+        new = [0 if on else -d] + [d * v for v in r] + [0] * (len(self.obj) - nv - 1)
+        for b, row in zip(self.basis, self.rows):
+            if b <= nv and r[b - 1]:
+                new = [x - r[b - 1] * y for x, y in zip(new, row)]
+        if new[0] < 0:  # slack -d, artificial d at cost d
+            new = [-x for x in new] + [-d, d]
+            self.obj = [o - x for o, x in zip(self.obj, new)] + [d, 0]
         else:
-            art = ncols + off.index(i)
-            row[nv + i] = -1
-            row[art] = row[-1] = 1
-            basis.append(art)
-        tableau.append(row)
+            new.append(d)
+            self.obj.append(0)
+        for row in self.rows:
+            row += [0] * (len(new) - len(row))
+        self.basis.append(len(new) - 1)
+        self.rows.append(new)
 
-    # reduced-cost row for minimizing the sum of artificials
-    obj = [0] * ncols + [1] * len(off) + [0]
-    for i in off:
-        obj = [o - v for o, v in zip(obj, tableau[i])]
-
-    d = 1
-    while True:
-        enter = next((k for k in range(total - 1) if obj[k] < 0), -1)
-        if enter < 0:
-            break
-        leave = -1
-        for i, row in enumerate(tableau):
-            a = row[enter]
-            if a > 0:
-                if leave < 0:
+    def solve(self) -> tuple[Fraction, list[int]]:
+        """Pivot to the phase-1 optimum. Returns (gap, values): a positive
+        optimum ``gap`` proves the rows posed so far infeasible (values empty);
+        with gap 0, ``values`` is a feasible v times d, in integers."""
+        rows, basis, obj, d = self.rows, self.basis, self.obj, self.d
+        while True:
+            enter = next((k for k in range(1, len(obj)) if obj[k] < 0), 0)
+            if not enter:
+                break
+            leave = -1
+            for i, row in enumerate(rows):
+                a = row[enter]
+                # row[0] / a against the best ratio, cross-multiplied; ties by basis
+                if a > 0 and (leave < 0 or (row[0] * rows[leave][enter], basis[i])
+                              < (rows[leave][0] * a, basis[leave])):
                     leave = i
-                    continue
-                # row[-1] / a against the best ratio, cross-multiplied
-                lhs = row[-1] * tableau[leave][enter]
-                rhs = tableau[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave < 0:
-            raise RuntimeError("phase-1 objective unbounded; formulation bug")
-        piv_row = tableau[leave]
-        p = piv_row[enter]
-        for i, row in enumerate(tableau):
-            f = row[enter]
-            if i != leave and (f or p != d):
-                tableau[i] = [(v * p - f * q) // d for v, q in zip(row, piv_row)]
-        f = obj[enter]
-        obj = [(v * p - f * q) // d for v, q in zip(obj, piv_row)]
-        d = p
-        basis[leave] = enter
-
-    if obj[-1]:
-        return Fraction(-obj[-1], d), []
-    values = [0] * nv
-    for i, b in enumerate(basis):
-        if b < nv:
-            values[b] = tableau[i][-1]
-    return Fraction(0), values
+            if leave < 0:
+                raise RuntimeError("phase-1 objective unbounded; formulation bug")
+            piv_row = rows[leave]
+            p = piv_row[enter]
+            for i, row in enumerate(rows):
+                f = row[enter]
+                if i != leave and (f or p != d):
+                    rows[i] = [(v * p - f * q) // d for v, q in zip(row, piv_row)]
+            f = obj[enter]
+            obj = [(v * p - f * q) // d for v, q in zip(obj, piv_row)]
+            d = p
+            basis[leave] = enter
+            self.pivots += 1
+        self.obj, self.d = obj, d
+        if obj[0]:
+            return Fraction(-obj[0], d), []
+        basic = {b: row[0] for row, b in zip(rows, basis)}
+        return Fraction(0), [basic.get(k, 0) for k in range(1, self.nv + 1)]
 
 
 def _flip(bits: int, j: int, patterns: list[int]) -> int:
@@ -235,15 +242,18 @@ def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
     as T = 0 does). Under w >= 0 every true row dominates a minimal true
     row and every false row is dominated by a maximal false row, so those
     boundary rows decide the LP. They are added to a working set one at a
-    time, each time the lowest one the integer candidate gets wrong.
-    Infeasibility on the working set is already a proof.
+    time, each time the lowest one the integer candidate gets wrong, into
+    one warm-started LP that pivots on from its last basis. Infeasibility
+    on the working set is already a proof.
     """
     if isinstance(unate, NotUnate):
         # the witness's 4 rows alone force w_j >= 1 and w_j <= -1; weights
         # and T are free there, each split into a nonnegative pair
         rows = (*unate.increasing, *unate.decreasing)
-        coeffs = [[s * x for x in (*row, -1) for s in (1, -1)] for row in rows]
-        gap, _ = _separation_lp(coeffs, [False, True, True, False])
+        lp = _SeparationLP(2 * len(rows[0]) + 2)
+        for row, on in zip(rows, (False, True, True, False)):
+            lp.add([s * x for x in (*row, -1) for s in (1, -1)], on)
+        gap, _ = lp.solve()
         if not gap:
             raise RuntimeError("LP feasible on a unateness witness; solver bug")
         return NotThreshold(num_constraints=len(rows), infeasibility_gap=gap)
@@ -255,16 +265,14 @@ def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
     g, mins, maxs = _positive_form(tt, unate, patterns)
     boundary = mins | maxs
 
-    work = []
-    if mins:
-        work.append((mins & -mins).bit_length() - 1)
-    if maxs:
-        work.append(maxs.bit_length() - 1)
+    lp = _SeparationLP(len(live) + 1)
+    new = [r.bit_length() - 1 for r in (mins & -mins, maxs) if r]
     while True:
-        coeffs = [[(i >> j) & 1 for j in live] + [-1] for i in work]
-        gap, values = _separation_lp(coeffs, [bool((g >> i) & 1) for i in work])
+        for i in new:
+            lp.add([(i >> j) & 1 for j in live] + [-1], bool((g >> i) & 1))
+        gap, values = lp.solve()
         if gap:
-            return NotThreshold(num_constraints=len(work), infeasibility_gap=gap)
+            return NotThreshold(num_constraints=len(lp.rows), infeasibility_gap=gap)
         scale = math.gcd(*values) or 1
         weights = [0] * n
         for j, v in zip(live, values):
@@ -275,7 +283,7 @@ def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
         wrong = (candidate ^ g) & boundary
         if not wrong:
             break
-        work.append((wrong & -wrong).bit_length() - 1)
+        new = [(wrong & -wrong).bit_length() - 1]
     for j in flipped:  # w_j x_j over 1 - x_j: negate w_j and lower T by it
         threshold -= weights[j]
         weights[j] = -weights[j]
@@ -296,6 +304,16 @@ def solve_threshold(tt: TruthTable) -> SolveResult:
     return _solve(tt, is_unate(tt))
 
 
+def _max_off_below_on(
+    mags: tuple[int, ...], on_rows: list[list[int]], off_rows: list[list[int]]
+) -> int | None:
+    """The largest sum of ``mags`` over an off row, if every on row sums above it."""
+    max_off = max(sum(mags[k] for k in row) for row in off_rows)
+    if all(sum(mags[k] for k in row) > max_off for row in on_rows):
+        return max_off
+    return None
+
+
 def minimize_weights(tt: TruthTable) -> ThresholdRealization:
     """Realization with minimal total |w|, ties broken lexicographically.
 
@@ -306,7 +324,8 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
     sum. The first feasible S is the minimum. Only compositions in strict
     Chow order are built: |m_i| > |m_j| forces |w_i| > |w_j| (Chow, 1961).
     A constant table gets zero weights and T = 1 (for 0) or -n (for 1).
-    The exact LP runs first: a non-threshold table raises NotThresholdError.
+    The exact LP runs first: a non-threshold table raises NotThresholdError,
+    and its realization, a candidate in strict Chow order, caps S at its sum|w|.
     """
     n = tt.num_inputs
     if n > MINIMIZE_MAX_INPUTS:
@@ -343,9 +362,11 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
     best = None
     total = len(order)
     while order and best is None:
+        if total > probe.gate.weight_magnitude_sum:
+            raise RuntimeError("minimizer passed the LP's weight sum; solver bug")
         for mags in parts(0, total, total, total):
-            max_off = max(sum(mags[k] for k in row) for row in off_rows)
-            if all(sum(mags[k] for k in row) > max_off for row in on_rows):
+            max_off = _max_off_below_on(mags, on_rows, off_rows)
+            if max_off is not None:
                 w = [0] * n
                 for j, v in zip(order, mags):
                     w[j] = v if unate.polarities[j] == "+" else -v

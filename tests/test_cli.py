@@ -45,10 +45,11 @@ def test_solve_xor_not_threshold(capsys):
 
 
 def test_solve_minimize_not_threshold_runs_lp_once(monkeypatch, capsys):
+    # counts phase-1 solves of the LP type, whatever its rows
     calls = []
-    lp = dwtl.tsolve._separation_lp
+    solve = dwtl.tsolve._SeparationLP.solve
     monkeypatch.setattr(
-        dwtl.tsolve, "_separation_lp", lambda *rows: calls.append(rows) or lp(*rows)
+        dwtl.tsolve._SeparationLP, "solve", lambda lp: calls.append(lp) or solve(lp)
     )
     assert run(["solve", "--tt", "2:0x6", "--minimize"]) == 1
     assert "NOT THRESHOLD" in capsys.readouterr().out

@@ -20,7 +20,7 @@ from dwtl import (
     threshold_tables_by_search,
 )
 from dwtl import tsolve
-from dwtl.table import input_pattern
+from dwtl.table import ENUMERATE_MAX_INPUTS, input_pattern, input_patterns
 
 MAJ3 = TruthTable(3, 0xE8)
 MIN3 = TruthTable(3, 0x17)
@@ -379,3 +379,115 @@ def test_minimize_random_six_inputs_keep_chow_order():
             if m[i] > m[j]:
                 assert got[i] > got[j], (w, t, res.gate)
     assert time.perf_counter() - start < 10
+
+
+ColdLP = tsolve._SeparationLP
+
+
+@pytest.fixture
+def lps(monkeypatch):
+    """Every LP the solver builds, with the rows posed and its last answer."""
+    made = []
+
+    class RecordingLP(ColdLP):
+        def __init__(self, nv):
+            super().__init__(nv)
+            self.posed = []
+            made.append(self)
+
+        def add(self, c, on):
+            self.posed.append((list(c), on))
+            super().add(c, on)
+
+        def solve(self):
+            self.last = super().solve()
+            return self.last
+
+    monkeypatch.setattr(tsolve, "_SeparationLP", RecordingLP)
+    return made
+
+
+def _assert_satisfies(posed, d, values):
+    # values is v times d: on rows c.v >= 0, off rows c.v <= -1
+    for c, on in posed:
+        s = sum(a * v for a, v in zip(c, values))
+        assert s >= 0 if on else s <= -d, (c, on, d, values)
+
+
+def _warm_start_cases():
+    for f in range(1 << 16):
+        tt = TruthTable(4, f)
+        if not isinstance(is_unate(tt), NotUnate):
+            yield tt
+    rng = random.Random(53)
+    for n in range(5, 9):
+        for _ in range(10):
+            w = tuple(rng.choice((-1, 1)) * rng.randint(1, 2 * n) for _ in range(n))
+            t = rng.randint(sum(v for v in w if v < 0) + 1, sum(v for v in w if v > 0))
+            yield ThresholdGate(w, t).truth_table()
+            picked = rng.sample(range(n), 4)
+            a, b, c, d = (_literal(j, n, rng.random() < 0.5) for j in picked)
+            yield TruthTable(n, (a & b) | (c & d))
+
+
+def test_warm_start_agrees_with_cold_start(lps):
+    # the final working set, posed at once to a fresh LP and solved once,
+    # gives the incremental verdict, and every feasible answer fits each row
+    verdicts = set()
+    for tt in _warm_start_cases():
+        lps.clear()
+        res = solve_threshold(tt)
+        (lp,) = lps
+        cold = ColdLP(lp.nv)
+        for c, on in lp.posed:
+            cold.add(c, on)
+        gap, values = cold.solve()
+        threshold = isinstance(res, ThresholdRealization)
+        assert (gap == 0) == (lp.last[0] == 0) == threshold, tt
+        verdicts.add(threshold)
+        if threshold:
+            _assert_satisfies(lp.posed, lp.d, lp.last[1])
+            _assert_satisfies(lp.posed, cold.d, values)
+        else:
+            assert res.num_constraints == len(lp.posed)
+            assert gap > 0 and values == []
+    assert verdicts == {True, False}
+
+
+def test_warm_start_pivots_weights_1_to_10(lps):
+    # 475 pivots over 26 cold solves before the warm start, 29 with it
+    tt = ThresholdGate(tuple(range(1, 11)), 28).truth_table()
+    assert isinstance(solve_threshold(tt), ThresholdRealization)
+    (lp,) = lps
+    assert lp.pivots <= 60
+
+
+def test_minimize_stops_at_the_probe_weight_sum(monkeypatch):
+    # the probe's own magnitudes are a candidate, so a search that passes
+    # their sum has a broken feasibility check
+    monkeypatch.setattr(tsolve, "_max_off_below_on", lambda *args: None)
+    with pytest.raises(RuntimeError, match="minimizer passed the LP's weight sum"):
+        minimize_weights(MAJ3)
+    assert minimize_weights(TruthTable(3, 0)).gate.threshold == 1
+
+
+def test_enumerate_five_inputs():
+    enum = enumerate_threshold_functions(5)
+    assert ENUMERATE_MAX_INPUTS == 5
+    assert enum.count == len(enum.tables) == 94_572  # OEIS A000609
+    inside = set(enum.tables)
+    patterns = input_patterns(5)
+    for j in range(5):
+        assert {tsolve._flip(f, j, patterns) for f in enum.tables} == inside
+    # 100 weighted sums built without the LP, 100 uniform tables
+    rng = random.Random(59)
+    for k in range(200):
+        if k < 100:
+            w = tuple(rng.choice((-1, 1)) * rng.randint(1, 10) for _ in range(5))
+            tt = ThresholdGate(w, rng.randint(-25, 25)).truth_table()
+        else:
+            tt = TruthTable(5, rng.randrange(1 << 32))
+        res = solve_threshold(tt)
+        assert isinstance(res, ThresholdRealization) == (tt.bits in inside), tt
+        if k < 100:
+            assert tt.bits in inside, tt
