@@ -9,11 +9,10 @@ netlist evaluation go through one bit-sliced weighted-sum comparator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .table import TruthTable, assignment_of, input_patterns
+from .table import Record, TruthTable, assignment_of, input_patterns
 
 
 class ArityError(ValueError):
@@ -99,8 +98,7 @@ def spin_to_bit(spin: int) -> int:
     raise ValueError(f"spin value must be +1 or -1, got {spin}")
 
 
-@dataclass(frozen=True)
-class SpinMinorityGate:
+class SpinMinorityGate(Record):
     """Gate over +/-1 spins: output is 1 iff the weighted spin sum is positive.
 
     With all weights -1 this is the plain minority function; a weight of
@@ -202,8 +200,7 @@ class SpinMinorityGate:
         return SpinMinorityGate(tuple(-w for w in self.weights))
 
 
-@dataclass(frozen=True)
-class ThresholdGate:
+class ThresholdGate(Record):
     """0/1-domain gate: output 1 iff sum(w_i * x_i) >= threshold."""
 
     weights: tuple[int, ...]

@@ -8,12 +8,11 @@ is a pinned constant-1 and is not a truth-table variable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .gates import SpinMinorityGate, TieError
-from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, TruthTable, input_patterns
+from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, Record, TruthTable, input_patterns
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -25,22 +24,19 @@ class NetlistError(ValueError):
     """Structural or usage error on a netlist operation."""
 
 
-@dataclass(frozen=True)
-class GateDef:
+class GateDef(Record):
     name: str
     gate: SpinMinorityGate
     refs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class OutputDef:
+class OutputDef(Record):
     name: str
     ref: str
     invert: bool = False
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(Record):
     inputs: tuple[str, ...]
     gates: tuple[GateDef, ...]
     outputs: tuple[OutputDef, ...]
@@ -159,16 +155,14 @@ class Netlist:
         return {name: TruthTable(n, bits) for name, bits in outs.items()}
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     assignment: dict[str, int]
     output: str
     got: int
     want: int
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Record):
     equivalent: bool
     mode: str  # "exhaustive" or "random"
     vectors_checked: int
@@ -273,8 +267,7 @@ def _compare(
     )
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     gate_count: int
     fanin_sum: int
     max_fanout: int

@@ -1,8 +1,11 @@
-"""Bit-packed truth tables for Boolean functions of up to 24 inputs."""
+"""Bit-packed truth tables of up to 24 inputs, and ``Record``, the frozen base
+class of every dwtl value type: no subcommand loads ``inspect``, ``ast`` or
+``dis``, and only a cost report or a non-threshold proof loads ``fractions``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 # every input ceiling lives here, so the CLI states them without loading a solver
 MAX_INPUTS = 24  # exhaustive tables and sweeps
@@ -54,8 +57,42 @@ def input_patterns(num_inputs: int) -> list[int]:
     return [input_pattern(j, num_inputs) for j in range(num_inputs)]
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class Record:
+    """Frozen value type: fields are its class annotations, in order, a class
+    attribute gives a default, and ``__init__`` is built by one ``exec`` (as in
+    ``collections.namedtuple``); it calls ``__post_init__`` if the class has one."""
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(vars(cls).get("__annotations__", ()))
+        post = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+        # object.__setattr__ keeps values inline; filling __dict__ slows each read
+        lines = [f"_setattr(self, {f!r}, {f})" for f in fields] + post
+        ns = {"_setattr": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(fields)}):\n    " + "\n    ".join(lines), ns)
+        init = cls.__init__ = ns["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__defaults__ = tuple(vars(cls)[f] for f in fields if f in vars(cls)) or None
+        cls._fields, cls._key = fields, attrgetter(*fields)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._key(self) == self._key(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TruthTable(Record):
     """Boolean function of ``num_inputs`` variables, rows packed into an int.
 
     Row i holds the value at the assignment decoded by ``assignment_of(i)``.

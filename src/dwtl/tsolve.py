@@ -20,14 +20,15 @@ there, a warm start, instead of re-solving from an empty basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .gates import ThresholdGate, _weighted_at_least
 from .table import ENUMERATE_MAX_INPUTS, MINIMIZE_MAX_INPUTS, SOLVE_MAX_INPUTS
-from .table import TruthTable, assignment_of, input_pattern, input_patterns
+from .table import Record, TruthTable, assignment_of, input_pattern, input_patterns
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NotThresholdError(ValueError):
@@ -41,23 +42,20 @@ class NotThresholdError(ValueError):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class ChowVector:
+class ChowVector(Record):
     """On-set balance m0 = 2|on-set| - 2^n and per-variable spin correlations."""
 
     m0: int
     m: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Unateness:
+class Unateness(Record):
     """Per-variable polarity: '+' nondecreasing, '-' nonincreasing, '0' independent."""
 
     polarities: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NotUnate:
+class NotUnate(Record):
     """Witness that some variable shows both polarities.
 
     Each witness is a pair of assignments differing only in ``variable``;
@@ -69,14 +67,12 @@ class NotUnate:
     decreasing: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class ThresholdRealization:
+class ThresholdRealization(Record):
     gate: ThresholdGate
     minimal: bool = False
 
 
-@dataclass(frozen=True)
-class NotThreshold:
+class NotThreshold(Record):
     """Infeasibility certificate from the exact separation LP.
 
     ``infeasibility_gap`` is the phase-1 optimum (strictly positive) of the
@@ -176,10 +172,10 @@ class _SeparationLP:
         self.basis.append(len(new) - 1)
         self.rows.append(new)
 
-    def solve(self) -> tuple[Fraction, list[int]]:
-        """Pivot to the phase-1 optimum. Returns (gap, values): a positive
-        optimum ``gap`` proves the rows posed so far infeasible (values empty);
-        with gap 0, ``values`` is a feasible v times d, in integers."""
+    def solve(self) -> tuple[int, list[int]]:
+        """Pivot to the phase-1 optimum. Returns (gap, values), both times d,
+        in integers: a positive optimum ``gap`` proves the rows posed so far
+        infeasible (values empty); with gap 0, ``values`` is a feasible v."""
         rows, basis, obj, d = self.rows, self.basis, self.obj, self.d
         while True:
             enter = next((k for k in range(1, len(obj)) if obj[k] < 0), 0)
@@ -207,9 +203,14 @@ class _SeparationLP:
             self.pivots += 1
         self.obj, self.d = obj, d
         if obj[0]:
-            return Fraction(-obj[0], d), []
+            return -obj[0], []
         basic = {b: row[0] for row, b in zip(rows, basis)}
-        return Fraction(0), [basic.get(k, 0) for k in range(1, self.nv + 1)]
+        return 0, [basic.get(k, 0) for k in range(1, self.nv + 1)]
+
+    def certificate(self, num_constraints: int) -> NotThreshold:
+        from fractions import Fraction  # only a proof of infeasibility loads it
+
+        return NotThreshold(num_constraints, Fraction(-self.obj[0], self.d))
 
 
 def _flip(bits: int, j: int, patterns: list[int]) -> int:
@@ -253,10 +254,9 @@ def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
         lp = _SeparationLP(2 * len(rows[0]) + 2)
         for row, on in zip(rows, (False, True, True, False)):
             lp.add([s * x for x in (*row, -1) for s in (1, -1)], on)
-        gap, _ = lp.solve()
-        if not gap:
+        if not lp.solve()[0]:
             raise RuntimeError("LP feasible on a unateness witness; solver bug")
-        return NotThreshold(num_constraints=len(rows), infeasibility_gap=gap)
+        return lp.certificate(len(rows))
     n = tt.num_inputs
     full = (1 << tt.num_rows) - 1
     patterns = input_patterns(n)
@@ -272,7 +272,7 @@ def _solve(tt: TruthTable, unate: Unateness | NotUnate) -> SolveResult:
             lp.add([(i >> j) & 1 for j in live] + [-1], bool((g >> i) & 1))
         gap, values = lp.solve()
         if gap:
-            return NotThreshold(num_constraints=len(lp.rows), infeasibility_gap=gap)
+            return lp.certificate(len(lp.rows))
         scale = math.gcd(*values) or 1
         weights = [0] * n
         for j, v in zip(live, values):
@@ -380,8 +380,7 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization:
     return ThresholdRealization(gate=gate, minimal=True)
 
 
-@dataclass(frozen=True)
-class ThresholdEnumeration:
+class ThresholdEnumeration(Record):
     num_inputs: int
     count: int
     tables: tuple[int, ...]  # packed table values, increasing

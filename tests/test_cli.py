@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 
@@ -189,8 +188,8 @@ def test_verify_adder_11_exhaustive_within_5_s(tmp_path, capsys, style, toggled)
     assert elapsed < 5
 
     net = parse_netlist(path.read_text())
-    mutant = dataclasses.replace(net, outputs=tuple(
-        dataclasses.replace(o, invert=not o.invert) if o.name == toggled else o
+    mutant = type(net)(net.inputs, net.gates, tuple(
+        type(o)(o.name, o.ref, not o.invert) if o.name == toggled else o
         for o in net.outputs
     ))
     path.write_text(print_netlist(mutant))

@@ -76,26 +76,31 @@ def test_constructions_is_the_module():
 
 BASE = {"dwtl", "dwtl.cli", "dwtl.table"}
 EVALUATE = BASE | {"dwtl.gates", "dwtl.netlist", "dwtl.textio"}
+SOLVE = BASE | {"dwtl.gates", "dwtl.textio", "dwtl.tsolve"}
 
 
+# fractions loads only for a cost report or a not-threshold certificate
 @pytest.mark.parametrize(
-    "argv, modules",
+    "argv, modules, loads_fractions",
     [
-        (["solve", "--tt", "3:0xe8", "--minimize"],
-         BASE | {"dwtl.gates", "dwtl.textio", "dwtl.tsolve"}),
-        (["eval", "fa.dwtl", "--set", "a0=1,a1=0,b0=1,b1=1,cin=0"], EVALUATE),
-        (["tt", "fa.dwtl"], EVALUATE),
-        (["report", "fa.dwtl", "--baseline", "30"], EVALUATE),
-        (["verify", "fa.dwtl", "--spec", "adder:2"], EVALUATE | {"dwtl.constructions"}),
+        (["solve", "--tt", "3:0xe8", "--minimize"], SOLVE, False),
+        (["solve", "--tt", "3:0x96"], SOLVE, True),
+        (["eval", "fa.dwtl", "--set", "a0=1,a1=0,b0=1,b1=1,cin=0"], EVALUATE, False),
+        (["tt", "fa.dwtl"], EVALUATE, False),
+        (["report", "fa.dwtl", "--baseline", "30"], EVALUATE, True),
+        (["verify", "fa.dwtl", "--spec", "adder:2"],
+         EVALUATE | {"dwtl.constructions"}, False),
         (["verify", "fa.dwtl", "--spec", "sum0=5:0x0,sum1=5:0x0,cout=5:0x0"],
-         EVALUATE | {"dwtl.constructions"}),
+         EVALUATE | {"dwtl.constructions"}, False),
         (["gen", "adder", "--bits", "2", "--style", "nand"],
-         EVALUATE | {"dwtl.constructions"}),
+         EVALUATE | {"dwtl.constructions"}, False),
     ],
-    ids=["solve", "eval", "tt", "report", "verify", "verify-tables", "gen"],
+    ids=["solve", "solve-not-threshold", "eval", "tt", "report", "verify",
+         "verify-tables", "gen"],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_subcommand_loads_only_its_modules(tmp_path, argv, modules, fmt):
+def test_subcommand_loads_only_its_modules(tmp_path, argv, modules, loads_fractions,
+                                           fmt):
     assert run(["gen", "adder", "--bits", "2", "--style", "weighted",
                 "-o", str(tmp_path / "fa.dwtl")]) == 0
     if fmt == "json" and argv[0] != "gen":
@@ -110,11 +115,14 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, modules, fmt):
         f"    code = run({argv!r})\n"
         "new = set(sys.modules) - before\n"
         "print(repr([code, sorted(m for m in new if m.startswith('dwtl')),\n"
-        "            'json' in new]))\n",
+        "            sorted(new & {'json', 'dataclasses', 'inspect', 'ast', 'dis',\n"
+        "                          'fractions'})]))\n",
         cwd=tmp_path,
     )
-    code, loaded, loaded_json = ast.literal_eval(out)
+    code, loaded, stdlib = ast.literal_eval(out)
     assert code in (0, 1)
     assert set(loaded) == modules
+    assert not {"dataclasses", "inspect", "ast", "dis"} & set(stdlib)
+    assert ("fractions" in stdlib) == loads_fractions
     if fmt == "text":
-        assert not loaded_json
+        assert "json" not in stdlib
