@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, MAX_INPUTS, MINIMIZE_MAX_INPUTS
 
+TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
 if TYPE_CHECKING:
     from .netlist import Netlist
 

@@ -8,7 +8,7 @@ inversion is a free flag on the netlist, never a gate.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .gates import SpinMinorityGate
 from .netlist import CONST_ONE, GateDef, Netlist, OutputDef

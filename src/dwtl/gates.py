@@ -9,8 +9,8 @@ netlist evaluation go through one bit-sliced weighted-sum comparator.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
 from .table import Record, TruthTable, assignment_of, input_patterns
 

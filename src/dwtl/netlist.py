@@ -1,19 +1,22 @@
 """Feed-forward circuits of spin-minority gates: evaluation, equivalence, cost.
 
-A netlist is acyclic by construction: a gate may only reference primary
-inputs or gates defined earlier in the list. The reserved input name ``one``
-is a pinned constant-1 and is not a truth-table variable.
+A gate may only reference primary inputs or gates defined earlier in the
+list, so a valid netlist is acyclic. Each netlist is checked once, before its
+first evaluation or cost report; the first violation raises ``NetlistError``
+or ``TieError``. The reserved input name ``one`` is a pinned constant-1 and is
+not a truth-table variable.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Mapping
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Mapping
 
 from .gates import SpinMinorityGate, TieError
 from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, Record, TruthTable, input_patterns
 
+TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -50,44 +53,6 @@ class Netlist(Record):
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def validate(self) -> list[str]:
-        """All structural violations, empty when the netlist is usable."""
-        errors: list[str] = []
-        seen: set[str] = set()
-        for name in self.inputs:
-            if name in seen:
-                errors.append(f"duplicate name '{name}'")
-            seen.add(name)
-        defined = set(seen)
-        for gdef in self.gates:
-            if gdef.name in seen:
-                errors.append(f"duplicate name '{gdef.name}'")
-            if len(gdef.refs) != gdef.gate.fan_in:
-                errors.append(
-                    f"gate '{gdef.name}': {len(gdef.refs)} refs for "
-                    f"fan-in {gdef.gate.fan_in}"
-                )
-            for ref in gdef.refs:
-                if ref not in defined:
-                    later = any(g.name == ref for g in self.gates)
-                    kind = "forward reference" if later else "unknown reference"
-                    errors.append(f"gate '{gdef.name}': {kind} '{ref}'")
-            ties = gdef.gate.tie_assignments()
-            if ties:
-                errors.append(f"gate '{gdef.name}': tie at assignment {ties[0]}")
-            seen.add(gdef.name)
-            defined.add(gdef.name)
-        if not self.outputs:
-            errors.append("netlist has no outputs")
-        out_seen: set[str] = set()
-        for odef in self.outputs:
-            if odef.name in out_seen:
-                errors.append(f"duplicate output name '{odef.name}'")
-            out_seen.add(odef.name)
-            if odef.ref not in defined:
-                errors.append(f"output '{odef.name}': unknown reference '{odef.ref}'")
-        return errors
-
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
         """Single-vector evaluation: ``evaluate_patterns`` at width 1."""
         for name in self.free_inputs:
@@ -101,40 +66,69 @@ class Netlist(Record):
         """Bit-parallel evaluation of ``width`` vectors packed into integers.
 
         ``patterns[name]`` holds input ``name`` across all vectors, one bit per
-        vector. Returns one packed integer per output. A gate that can tie
+        vector. Returns one packed integer per output. The netlist's first
+        violation (``_plan``) raises before any gate runs, so a gate that can tie
         raises ``TieError`` naming it, whether or not a vector hits the tie.
         Each signal is dropped after its last reader unless an output reads it.
         """
+        dead_after = self._plan
         mask = (1 << width) - 1
         values: dict[str, int] = {}
         for name in self.inputs:
             p = mask if name == CONST_ONE else patterns[name]
             values[name] = p if 0 <= p <= mask else p & mask
-        for gdef, dead in zip(self.gates, self._released_after):
-            srcs = [values.get(r) for r in gdef.refs]
-            if None in srcs or len(srcs) != gdef.gate.fan_in:
-                raise NetlistError(self.validate()[0])
-            ties = gdef.gate.tie_assignments()
-            if ties:
-                raise TieError(
-                    f"gate '{gdef.name}': tie at assignment {ties[0]}",
-                    assignment=ties[0],
-                )
+        for gdef, dead in zip(self.gates, dead_after):
+            srcs = [values[r] for r in gdef.refs]
             values[gdef.name] = gdef.gate.eval_patterns(srcs, mask)
             for name in dead:
                 del values[name]
-        if any(o.ref not in values for o in self.outputs):
-            raise NetlistError(self.validate()[0])
         return {
             o.name: (values[o.ref] ^ mask) if o.invert else values[o.ref]
             for o in self.outputs
         }
 
-    @cached_property  # read by every evaluation; the netlist is frozen
-    def _released_after(self) -> tuple[tuple[str, ...], ...]:
-        """Per gate, the signals it reads last; a signal an output reads is kept."""
-        last = {ref: i for i, gdef in enumerate(self.gates) for ref in gdef.refs}
+    @cached_property  # the netlist is frozen: checked once, then read by every use
+    def _plan(self) -> tuple[tuple[str, ...], ...]:
+        """Per gate, the signals it reads last; an output's signal is kept.
+
+        First the netlist is checked: inputs, then gates, then outputs, in
+        declaration order, and the first violation raises.
+        """
+        defined: set[str] = set()
+        for name in self.inputs:
+            if name in defined:
+                raise NetlistError(f"duplicate name '{name}'")
+            defined.add(name)
+        last: dict[str, int] = {}
+        for i, gdef in enumerate(self.gates):
+            name, gate, refs = gdef.name, gdef.gate, gdef.refs
+            if name in defined:
+                raise NetlistError(f"duplicate name '{name}'")
+            if len(refs) != gate.fan_in:
+                raise NetlistError(
+                    f"gate '{name}': {len(refs)} refs for fan-in {gate.fan_in}"
+                )
+            for ref in refs:
+                if ref not in defined:
+                    later = any(g.name == ref for g in self.gates)
+                    kind = "forward reference" if later else "unknown reference"
+                    raise NetlistError(f"gate '{name}': {kind} '{ref}'")
+                last[ref] = i
+            ties = gate.tie_assignments()
+            if ties:
+                raise TieError(
+                    f"gate '{name}': tie at assignment {ties[0]}", assignment=ties[0]
+                )
+            defined.add(name)
+        if not self.outputs:
+            raise NetlistError("netlist has no outputs")
+        out_names: set[str] = set()
         for o in self.outputs:
+            if o.name in out_names:
+                raise NetlistError(f"duplicate output name '{o.name}'")
+            if o.ref not in defined:
+                raise NetlistError(f"output '{o.name}': unknown reference '{o.ref}'")
+            out_names.add(o.name)
             last.pop(o.ref, None)
         dead: list[list[str]] = [[] for _ in self.gates]
         for ref, i in last.items():
@@ -298,24 +292,23 @@ def cost_report(net: Netlist, baseline_count: int) -> CostReport:
 
     if baseline_count < 1:
         raise NetlistError("baseline_count must be >= 1")
+    net._plan  # raises the netlist's first violation; a valid one has outputs
     fanout: dict[str, int] = {}
     depth: dict[str, int] = {name: 0 for name in net.inputs}
-    max_depth = 0
     fanin_sum = 0
     for gdef in net.gates:
         fanin_sum += gdef.gate.fan_in
         for ref in gdef.refs:
             fanout[ref] = fanout.get(ref, 0) + 1
         depth[gdef.name] = 1 + max(depth[r] for r in gdef.refs)
-        max_depth = max(max_depth, depth[gdef.name])
     for odef in net.outputs:
         fanout[odef.ref] = fanout.get(odef.ref, 0) + 1
     gate_count = net.gate_count
     return CostReport(
         gate_count=gate_count,
         fanin_sum=fanin_sum,
-        max_fanout=max(fanout.values(), default=0),
-        depth=max((depth[o.ref] for o in net.outputs), default=max_depth),
+        max_fanout=max(fanout.values()),
+        depth=max(depth[o.ref] for o in net.outputs),
         inverted_outputs=sum(1 for o in net.outputs if o.invert),
         baseline_count=baseline_count,
         reduction_percent=100 * (1 - Fraction(gate_count, baseline_count)),

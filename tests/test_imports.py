@@ -13,11 +13,11 @@ from dwtl.cli import run
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _fresh(code: str, cwd=None) -> str:
+def _fresh(code: str, cwd=None, flags=()) -> str:
     """Run ``code`` in a new interpreter that imports dwtl from ./src."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=cwd,
+        [sys.executable, *flags, "-c", code], env=env, cwd=cwd,
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -79,7 +79,8 @@ EVALUATE = BASE | {"dwtl.gates", "dwtl.netlist", "dwtl.textio"}
 SOLVE = BASE | {"dwtl.gates", "dwtl.textio", "dwtl.tsolve"}
 
 
-# fractions loads only for a cost report or a not-threshold certificate
+# fractions loads only for a cost report or a not-threshold certificate; each
+# case runs once more under -S, where no site hook has loaded typing already
 @pytest.mark.parametrize(
     "argv, modules, loads_fractions",
     [
@@ -105,24 +106,25 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, modules, loads_fracti
                 "-o", str(tmp_path / "fa.dwtl")]) == 0
     if fmt == "json" and argv[0] != "gen":
         argv = argv + ["--format", "json"]
-    out = _fresh(
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import io\n"
-        "from contextlib import redirect_stdout\n"
-        "from dwtl.cli import run\n"
-        "with redirect_stdout(io.StringIO()):\n"
-        f"    code = run({argv!r})\n"
-        "new = set(sys.modules) - before\n"
-        "print(repr([code, sorted(m for m in new if m.startswith('dwtl')),\n"
-        "            sorted(new & {'json', 'dataclasses', 'inspect', 'ast', 'dis',\n"
-        "                          'fractions'})]))\n",
-        cwd=tmp_path,
-    )
-    code, loaded, stdlib = ast.literal_eval(out)
-    assert code in (0, 1)
-    assert set(loaded) == modules
-    assert not {"dataclasses", "inspect", "ast", "dis"} & set(stdlib)
-    assert ("fractions" in stdlib) == loads_fractions
-    if fmt == "text":
-        assert "json" not in stdlib
+    for flags in ((), ("-S",)):
+        out = _fresh(
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import io\n"
+            "from contextlib import redirect_stdout\n"
+            "from dwtl.cli import run\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    code = run({argv!r})\n"
+            "new = set(sys.modules) - before\n"
+            "print(repr([code, sorted(m for m in new if m.startswith('dwtl')),\n"
+            "            sorted(new & {'json', 'dataclasses', 'inspect', 'ast', 'dis',\n"
+            "                          'fractions', 'typing'})]))\n",
+            cwd=tmp_path, flags=flags,
+        )
+        code, loaded, stdlib = ast.literal_eval(out)
+        assert code in (0, 1)
+        assert set(loaded) == modules
+        assert not {"dataclasses", "inspect", "ast", "dis", "typing"} & set(stdlib)
+        assert ("fractions" in stdlib) == loads_fractions
+        if fmt == "text":
+            assert "json" not in stdlib

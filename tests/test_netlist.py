@@ -26,6 +26,7 @@ from dwtl.constructions import (
     nand_adder,
     ripple_adder,
 )
+from tests_util import random_valid_netlist
 
 MIN3 = SpinMinorityGate((-1, -1, -1))
 
@@ -40,7 +41,12 @@ def single_gate_net(gate, n_inputs):
 
 
 def test_adder_validates():
-    assert minority_full_adder().validate() == []
+    # the check runs at first use, passes, and is kept for every later use
+    net = minority_full_adder()
+    assert net.evaluate({"a0": 1, "b0": 1, "cin": 0}) == {"sum0": 0, "cout": 1}
+    assert "_plan" in vars(net)
+    assert net.truth_tables()["cout"].bits == 0xE8
+    assert cost_report(net, 15).gate_count == 3
 
 
 def test_forward_reference_reported():
@@ -52,8 +58,8 @@ def test_forward_reference_reported():
         ),
         outputs=(OutputDef("y", "g1"),),
     )
-    errors = net.validate()
-    assert any("forward reference" in e for e in errors)
+    with pytest.raises(NetlistError, match="gate 'g1': forward reference 'g2'"):
+        net.truth_tables()
     with pytest.raises(NetlistError, match="gate 'g1'.*'g2'"):
         net.evaluate({"a": 0, "b": 0, "c": 0})
     dangling = Netlist(net.inputs, net.gates[1:], (OutputDef("y", "zzz"),))
@@ -67,19 +73,135 @@ def test_tie_prone_gate_reported():
         gates=(GateDef("g", SpinMinorityGate((-1, -1)), ("a", "b")),),
         outputs=(OutputDef("y", "g"),),
     )
-    errors = net.validate()
-    assert any("tie at assignment" in e for e in errors)
+    with pytest.raises(TieError, match="gate 'g': tie at assignment") as exc:
+        net.truth_tables()
+    assert exc.value.assignment == (1, 0)
+    with pytest.raises(TieError, match="gate 'g': tie at assignment"):
+        cost_report(net, 2)
 
 
 def test_duplicate_and_dangling():
+    # one netlist per violation, each raised at first use
+    g = GateDef("g", MIN3, ("a", "b", "c"))
+    y = (OutputDef("y", "g"),)
+    cases = [
+        (Netlist(("a", "a"), (GateDef("g", MIN3, ("a", "a", "a")),), y),
+         "duplicate name 'a'"),
+        (Netlist(("a", "b", "c"), (GateDef("g", MIN3, ("a", "b", "zzz")),), y),
+         "gate 'g': unknown reference 'zzz'"),
+        (Netlist(("a", "b", "c"), (g, GateDef("g", MIN3, ("a", "b", "g"))), y),
+         "duplicate name 'g'"),
+        (Netlist(("a", "b", "c"), (g,), ()), "netlist has no outputs"),
+        (Netlist(("a", "b", "c"), (g,), y + (OutputDef("y", "a"),)),
+         "duplicate output name 'y'"),
+        (Netlist(("a", "b", "c"), (g,), (OutputDef("y", "zzz"),)),
+         "output 'y': unknown reference 'zzz'"),
+    ]
+    for net, message in cases:
+        with pytest.raises(NetlistError, match=message):
+            net.truth_tables()
+
+
+def test_first_violation_in_declaration_order():
+    # inputs, then gates, then outputs: the earliest broken rule is reported
     net = Netlist(
-        inputs=("a", "a"),
-        gates=(GateDef("g", MIN3, ("a", "a", "zzz")),),
+        inputs=("a", "b", "b"),
+        gates=(GateDef("g", MIN3, ("a", "zzz")),),
+        outputs=(OutputDef("y", "nope"), OutputDef("y", "g")),
+    )
+    with pytest.raises(NetlistError, match="duplicate name 'b'"):
+        net.truth_tables()
+    net = Netlist(("a", "b"), net.gates, net.outputs)
+    with pytest.raises(NetlistError, match="gate 'g': 2 refs for fan-in 3"):
+        net.truth_tables()
+    net = Netlist(("a", "b"), (), net.outputs)
+    with pytest.raises(NetlistError, match="output 'y': unknown reference 'nope'"):
+        net.truth_tables()
+
+
+def test_duplicate_output_names_refused_by_equivalence_checks():
+    # y = minority and y = !minority once collapsed into one dict key, so
+    # the majority spec compared only the second and passed
+    net = Netlist(
+        inputs=("a", "b", "c"),
+        gates=(GateDef("g", MIN3, ("a", "b", "c")),),
+        outputs=(OutputDef("y", "g"), OutputDef("y", "g", invert=True)),
+    )
+    majority = MIN3.truth_table().complement()
+    with pytest.raises(NetlistError, match="duplicate output name 'y'"):
+        check_equivalence(net, {"y": majority})
+
+    def reference(patterns, width):
+        a, b, c = (patterns[name] for name in "abc")
+        return {"y": (a & b) | (a & c) | (b & c)}
+
+    with pytest.raises(NetlistError, match="duplicate output name 'y'"):
+        check_equivalence_sampled(net, reference, seed=1, num_vectors=20)
+
+
+def test_cost_report_unknown_reference_raises_netlist_error():
+    net = Netlist(
+        inputs=("a", "b"),
+        gates=(GateDef("g", MIN3, ("a", "b", "zzz")),),
         outputs=(OutputDef("y", "g"),),
     )
-    errors = net.validate()
-    assert any("duplicate" in e for e in errors)
-    assert any("unknown reference 'zzz'" in e for e in errors)
+    with pytest.raises(NetlistError, match="gate 'g': unknown reference 'zzz'"):
+        cost_report(net, 3)
+
+
+def test_gate_reusing_an_input_name_refused():
+    net = Netlist(
+        inputs=("a", "b", "c"),
+        gates=(GateDef("b", MIN3, ("a", "b", "c")),),
+        outputs=(OutputDef("y", "b"),),
+    )
+    with pytest.raises(NetlistError, match="duplicate name 'b'"):
+        net.evaluate({"a": 0, "b": 1, "c": 1})
+    with pytest.raises(NetlistError, match="duplicate name 'b'"):
+        net.truth_tables()
+    with pytest.raises(NetlistError, match="duplicate name 'b'"):
+        cost_report(net, 3)
+
+
+def _rowwise_tables(net):
+    """Per-output tables, one row at a time through ``SpinMinorityGate.eval``."""
+    names = net.free_inputs
+    bits = {o.name: 0 for o in net.outputs}
+    for row in range(1 << len(names)):
+        values = {name: (row >> j) & 1 for j, name in enumerate(names)}
+        for gdef in net.gates:
+            values[gdef.name] = gdef.gate.eval([values[r] for r in gdef.refs])
+        for o in net.outputs:
+            bits[o.name] |= (values[o.ref] ^ o.invert) << row
+    return {name: TruthTable(len(names), b) for name, b in bits.items()}
+
+
+def test_mutated_random_netlists_raise():
+    rng = random.Random(12)
+    for _ in range(300):
+        net = random_valid_netlist(rng)
+        assert net.truth_tables() == _rowwise_tables(net)
+        gates, outputs = list(net.gates), list(net.outputs)
+        mutation = rng.choice(("rename", "output", "drop") if gates else ("output",))
+        if mutation == "output":
+            twin = rng.choice(outputs)
+            outputs.append(OutputDef(twin.name, net.inputs[0]))
+            message = f"duplicate output name '{twin.name}'"
+        else:
+            k = rng.randrange(len(gates))
+            gdef = gates[k]
+            if mutation == "rename":
+                earlier = rng.choice(net.inputs + tuple(g.name for g in gates[:k]))
+                gates[k] = GateDef(earlier, gdef.gate, gdef.refs)
+                message = f"duplicate name '{earlier}'"
+            else:
+                gates[k] = GateDef(gdef.name, gdef.gate, gdef.refs[1:])
+                message = f"gate '{gdef.name}': {gdef.gate.fan_in - 1} refs for fan-in"
+        bad = Netlist(net.inputs, tuple(gates), tuple(outputs))
+        with pytest.raises(NetlistError, match=message):
+            bad.truth_tables()
+        with pytest.raises(NetlistError, match=message):
+            cost_report(bad, 10)
 
 
 def test_evaluate_adder_vectors():
@@ -194,8 +316,19 @@ def test_tie_check_sweeps_each_gate_once(monkeypatch):
     assert sweeps == [4, 4]
     x = {"a": 1, "b": 0, "c": 1, "d": 0}
     assert net.evaluate(x) == net.evaluate(x) == {"y": 0}
-    assert net.validate() == []
+    assert net.truth_tables()["y"].bit(5) == 0
+    assert cost_report(net, 2).depth == 2
     assert sweeps == [4, 4]
+    # built in code, with new gate objects: swept at first use, and once
+    fresh = tuple(
+        GateDef(g.name, SpinMinorityGate(g.gate.weights), g.refs) for g in net.gates
+    )
+    built = Netlist(net.inputs, fresh, net.outputs)
+    assert sweeps == [4, 4]
+    assert built.evaluate(x) == {"y": 0}
+    assert built.truth_tables() == net.truth_tables()
+    assert cost_report(built, 2) == cost_report(net, 2)
+    assert sweeps == [4, 4, 4, 4]
 
 
 def test_signal_release_keeps_outputs():

@@ -5,7 +5,7 @@ import pytest
 
 from dwtl.constructions import ripple_adder
 from dwtl.gates import SpinMinorityGate, ThresholdGate
-from dwtl.netlist import OutputDef
+from dwtl.netlist import Netlist, NetlistError, OutputDef
 from dwtl.table import Record, TooManyInputsError, TruthTable, input_pattern
 from dwtl.textio import parse_netlist, print_netlist
 from dwtl.tsolve import solve_threshold
@@ -100,8 +100,14 @@ def test_cached_property_still_works():
     assert vars(gate)["weight_magnitude_sum"] == 8
     assert gate.tie_assignments() and "_even_sum_ties" in vars(gate)
     net = parse_netlist(print_netlist(ripple_adder(2)))
-    released = net._released_after
-    assert len(released) == net.gate_count and net._released_after is released
+    plan = net._plan
+    assert len(plan) == net.gate_count and net._plan is plan
+    # a violation is not cached: every use raises it again
+    broken = Netlist(net.inputs, net.gates, net.outputs * 2)
+    for _ in range(2):
+        with pytest.raises(NetlistError, match="duplicate output name 'sum0'"):
+            broken.truth_tables()
+    assert "_plan" not in vars(broken)
     assert net.evaluate({"a0": 1, "a1": 1, "b0": 1, "b1": 0, "cin": 1}) == {
         "sum0": 1, "sum1": 0, "cout": 1,
     }
