@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, MAX_INPUTS, MINIMIZE_MAX_INPUTS
+from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, MAX_INPUTS, SOLVE_MAX_INPUTS
 
 TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
 if TYPE_CHECKING:
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tt", required=True, metavar="n:hex",
                    help="truth table, e.g. 3:0x96")
     p.add_argument("--minimize", action="store_true",
-                   help=f"minimize total |w| (exact, n <= {MINIMIZE_MAX_INPUTS})")
+                   help=f"minimize total |w| (exact, n <= {SOLVE_MAX_INPUTS})")
     add_format(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -56,8 +56,8 @@ class Netlist(Record):
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
         """Single-vector evaluation: ``evaluate_patterns`` at width 1."""
         for name in self.free_inputs:
-            if name not in assignment:
-                raise NetlistError(f"missing value for input '{name}'")
+            if assignment.get(name, 0) not in (0, 1):
+                raise NetlistError(f"input '{name}' must be 0 or 1")
         return self.evaluate_patterns(assignment, 1)
 
     def evaluate_patterns(
@@ -74,9 +74,12 @@ class Netlist(Record):
         dead_after = self._plan
         mask = (1 << width) - 1
         values: dict[str, int] = {}
-        for name in self.inputs:
-            p = mask if name == CONST_ONE else patterns[name]
-            values[name] = p if 0 <= p <= mask else p & mask
+        try:
+            for name in self.inputs:
+                p = mask if name == CONST_ONE else patterns[name]
+                values[name] = p if 0 <= p <= mask else p & mask
+        except KeyError as exc:
+            raise NetlistError(f"missing value for input '{exc.args[0]}'") from None
         for gdef, dead in zip(self.gates, dead_after):
             srcs = [values[r] for r in gdef.refs]
             values[gdef.name] = gdef.gate.eval_patterns(srcs, mask)

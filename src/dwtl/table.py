@@ -10,7 +10,6 @@ from operator import attrgetter
 # every input ceiling lives here, so the CLI states them without loading a solver
 MAX_INPUTS = 24  # exhaustive tables and sweeps
 SOLVE_MAX_INPUTS = 10
-MINIMIZE_MAX_INPUTS = 6
 ENUMERATE_MAX_INPUTS = 5
 
 # past MAX_INPUTS, verification samples seeded random vectors instead

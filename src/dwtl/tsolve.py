@@ -2,9 +2,10 @@
 
 Realizability of a truth table as [sum(w_i x_i) >= T] is decided by an
 exact phase-1 simplex with Bland's rule, so an infeasible answer is a
-terminating proof rather than a search timeout. Strict separation is posed
-with integer margin 1: on-set rows satisfy sum(w x) >= T and off-set rows
-satisfy sum(w x) <= T - 1.
+terminating proof rather than a search timeout, and minimal weights come
+from the same LP, continued by a lexicographic phase 2. Strict separation
+is posed with integer margin 1: on-set rows satisfy sum(w x) >= T and
+off-set rows satisfy sum(w x) <= T - 1.
 
 The LP never sees all 2^n rows. A non-unate table is refuted by its
 unateness witness alone (4 rows). A unate table is solved in its positive
@@ -23,11 +24,12 @@ import math
 from itertools import product
 
 from .gates import ThresholdGate, _weighted_at_least
-from .table import ENUMERATE_MAX_INPUTS, MINIMIZE_MAX_INPUTS, SOLVE_MAX_INPUTS
+from .table import ENUMERATE_MAX_INPUTS, SOLVE_MAX_INPUTS
 from .table import Record, TruthTable, assignment_of, input_pattern, input_patterns
 
 TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 
@@ -125,17 +127,17 @@ def is_unate(tt: TruthTable) -> Unateness | NotUnate:
 
 
 class _SeparationLP:
-    """Phase-1 simplex with Bland's rule on an all-integer tableau, warm-started.
+    """Simplex with Bland's rule on an all-integer tableau, warm-started.
 
-    Each row asks c . v >= 0 (on) or c . v <= -1 (off) over columns v >= 0,
-    with its own slack s >= 0: -c.v + s = 0 or c.v + s = -1. Pivots are
-    fraction-free (Edmonds/Bareiss): ``rows`` hold the true tableau times
-    ``d``, the determinant of the current basis, with the RHS first, and
-    every update divides exactly by the previous d. The tableau, basis and
-    objective row persist between solves: ``add`` writes a new row in terms
-    of the current basis and ``solve`` pivots on from wherever the basis
-    stands, so a cold start is only rows added before the first solve.
-    ``pivots`` counts the pivots made so far.
+    Each row asks r . v <= rhs over columns v >= 0, with its own slack
+    s >= 0: r.v + s = rhs. Pivots are fraction-free (Edmonds/Bareiss):
+    ``rows`` hold the true tableau times ``d``, the determinant of the
+    current basis, with the RHS first, and every update divides exactly by
+    the previous d. The tableau, basis and phase-1 objective row persist
+    between solves: ``add`` writes a new row in terms of the current basis
+    and ``solve`` pivots on from wherever the basis stands, so a cold start
+    is only rows added before the first solve. ``pivots`` counts the pivots
+    made so far.
     """
 
     def __init__(self, nv: int):
@@ -146,18 +148,21 @@ class _SeparationLP:
         self.obj = [0] * (nv + 1)  # reduced costs of the sum of artificials, times d
         self.pivots = 0
 
-    def add(self, c: list[int], on: bool) -> None:
-        """Pose one row, written in the current basis as d * row minus each
-        basic entry times its tableau row: exact, since every basic column
-        holds d. Its slack, worth d, is basic if the RHS is >= 0; otherwise
-        the row is negated and gets an artificial column worth d instead,
-        and the objective row loses the row."""
+    def _in_basis(self, r: list[int], rhs: int) -> list[int]:
+        """d * (rhs, r) less each basic entry of r times its row (exact: basic
+        columns hold d). A cost row (rhs 0) gives -cost, then reduced costs."""
         d, nv = self.d, self.nv
-        r = [-v for v in c] if on else c
-        new = [0 if on else -d] + [d * v for v in r] + [0] * (len(self.obj) - nv - 1)
+        new = [d * rhs] + [d * v for v in r] + [0] * (len(self.obj) - nv - 1)
         for b, row in zip(self.basis, self.rows):
             if b <= nv and r[b - 1]:
                 new = [x - r[b - 1] * y for x, y in zip(new, row)]
+        return new
+
+    def add(self, r: list[int], rhs: int) -> None:
+        """Pose r . v <= rhs. Its slack, worth d, is basic if the RHS is >= 0;
+        otherwise the row is negated and gets an artificial column worth d
+        instead, and the objective row loses the row."""
+        d, new = self.d, self._in_basis(r, rhs)
         if new[0] < 0:  # slack -d, artificial d at cost d
             new = [-x for x in new] + [-d, d]
             self.obj = [o - x for o, x in zip(self.obj, new)] + [d, 0]
@@ -169,13 +174,31 @@ class _SeparationLP:
         self.basis.append(len(new) - 1)
         self.rows.append(new)
 
-    def solve(self) -> tuple[int, list[int]]:
-        """Pivot to the phase-1 optimum. Returns (gap, values), both times d,
-        in integers: a positive optimum ``gap`` proves the rows posed so far
+    def solve(self, costs: Sequence[list[int]] = ()) -> tuple[int, list[int]]:
+        """Pivot to the phase-1 optimum, then to the minimum of each of ``costs``
+        in turn (lexicographic: each prices only the columns at 0 in every
+        objective before it, so those, phase 1 among them, stay optimal).
+        Returns (gap, values), both times d: a positive ``gap`` proves the rows
         infeasible (values empty); with gap 0, ``values`` is a feasible v."""
-        rows, basis, obj, d = self.rows, self.basis, self.obj, self.d
+        cols = range(1, len(self.obj))
+        price = self._descend([self.obj], cols)
+        if price[0]:
+            return -price[0], []
+        for c in costs:
+            cols = [k for k in cols if not price[k]]
+            if set(cols) <= set(self.basis):  # no pivot left: the optimum is one point
+                break
+            price = self._descend([self.obj, self._in_basis(c, 0)], cols)
+        basic = {b: row[0] for row, b in zip(self.rows, self.basis)}
+        return 0, [basic.get(k, 0) for k in range(1, self.nv + 1)]
+
+    def _descend(self, objs: list[list[int]], cols: Sequence[int]) -> list[int]:
+        """Bland's rule on the last of ``objs`` over ``cols``, to its minimum;
+        every row of ``objs`` (phase 1 first) follows the basis."""
+        rows, basis, d = self.rows, self.basis, self.d
         while True:
-            enter = next((k for k in range(1, len(obj)) if obj[k] < 0), 0)
+            price = objs[-1]
+            enter = next((k for k in cols if price[k] < 0), 0)
             if not enter:
                 break
             leave = -1
@@ -186,28 +209,49 @@ class _SeparationLP:
                               < (rows[leave][0] * a, basis[leave])):
                     leave = i
             if leave < 0:
-                raise RuntimeError("phase-1 objective unbounded; formulation bug")
+                raise RuntimeError("simplex objective unbounded; formulation bug")
             piv_row = rows[leave]
             p = piv_row[enter]
             for i, row in enumerate(rows):
                 f = row[enter]
                 if i != leave and (f or p != d):
                     rows[i] = [(v * p - f * q) // d for v, q in zip(row, piv_row)]
-            f = obj[enter]
-            obj = [(v * p - f * q) // d for v, q in zip(obj, piv_row)]
+            for i, o in enumerate(objs):
+                f = o[enter]
+                objs[i] = [(v * p - f * q) // d for v, q in zip(o, piv_row)]
             d = p
             basis[leave] = enter
             self.pivots += 1
-        self.obj, self.d = obj, d
-        if obj[0]:
-            return -obj[0], []
-        basic = {b: row[0] for row, b in zip(rows, basis)}
-        return 0, [basic.get(k, 0) for k in range(1, self.nv + 1)]
+        self.obj, self.d = objs[0], d
+        return price
 
     def certificate(self, num_constraints: int) -> NotThreshold:
         from fractions import Fraction  # only a proof of infeasibility loads it
 
         return NotThreshold(num_constraints, Fraction(-self.obj[0], self.d))
+
+
+def _lexmin(lp: _SeparationLP, costs: Sequence[list[int]]) -> list[int] | None:
+    """The integer point of ``lp`` that minimizes each cost in turn; the
+    costs must fix one point. [] if the LP is infeasible, None if a bounded
+    LP has no integer point. Past a fractional optimum, the first cost is
+    fixed at each integer from its ceiling up, on a copy, until one has an
+    integer point or is infeasible."""
+    _, values = lp.solve(costs)
+    if all(v % lp.d == 0 for v in values):
+        return [v // lp.d for v in values]
+    from copy import deepcopy  # only a fractional optimum loads it
+
+    first = costs[0]
+    bound = -(-sum(c * v for c, v in zip(first, values)) // lp.d)
+    while True:
+        branch = deepcopy(lp)
+        branch.add(first, bound)
+        branch.add([-c for c in first], -bound)
+        point = _lexmin(branch, costs[1:])
+        if point is not None:  # [] : infeasible here, so at every larger bound
+            return point or None
+        bound += 1
 
 
 def _flip(bits: int, j: int, patterns: list[int]) -> int:
@@ -232,19 +276,22 @@ def _positive_form(
 
 
 def _solve(
-    tt: TruthTable, unate: Unateness | NotUnate
+    tt: TruthTable, unate: Unateness | NotUnate, minimize: bool = False
 ) -> ThresholdRealization | NotThreshold:
-    """``solve_threshold`` given the table's unateness.
+    """``solve_threshold`` given the table's unateness, or with ``minimize``,
+    ``minimize_weights`` without its NotThresholdError.
 
     A unate table is solved in its positive form: each '-' variable is
-    flipped, each '0' variable gets weight 0, and the weights of the live
+    flipped, each '0' variable gets weight 0, and the weights u of the live
     variables are >= 0 with T >= 0 (a negative T only realizes constant 1,
-    as T = 0 does). Under w >= 0 every true row dominates a minimal true
+    as T = 0 does). Under u >= 0 every true row dominates a minimal true
     row and every false row is dominated by a maximal false row, so those
     boundary rows decide the LP. They are added to a working set one at a
     time, each time the lowest one the integer candidate gets wrong, into
     one warm-started LP that pivots on from its last basis. Infeasibility
-    on the working set is already a proof.
+    on the working set is already a proof. To minimize, the loop goes on,
+    warm, with the integer lexicographic minimum on the working set of sum
+    |w|, each live w_j in variable order (-u_j if flipped), then T.
     """
     if isinstance(unate, NotUnate):
         # the witness's 4 rows alone force w_j >= 1 and w_j <= -1; weights
@@ -252,131 +299,85 @@ def _solve(
         rows = (*unate.increasing, *unate.decreasing)
         lp = _SeparationLP(2 * len(rows[0]) + 2)
         for row, on in zip(rows, (False, True, True, False)):
-            lp.add([s * x for x in (*row, -1) for s in (1, -1)], on)
+            signs = (-1, 1) if on else (1, -1)  # on: -c.v <= 0, off: c.v <= -1
+            lp.add([s * x for x in (*row, -1) for s in signs], on - 1)
         if not lp.solve()[0]:
             raise RuntimeError("LP feasible on a unateness witness; solver bug")
         return lp.certificate(len(rows))
     n = tt.num_inputs
     full = (1 << tt.num_rows) - 1
     patterns = input_patterns(n)
-    flipped = [j for j, p in enumerate(unate.polarities) if p == "-"]
     live = [j for j, p in enumerate(unate.polarities) if p != "0"]
     g, mins, maxs = _positive_form(tt, unate, patterns)
     boundary = mins | maxs
-
     lp = _SeparationLP(len(live) + 1)
-    new = [r.bit_length() - 1 for r in (mins & -mins, maxs) if r]
-    while True:
-        for i in new:
-            lp.add([(i >> j) & 1 for j in live] + [-1], bool((g >> i) & 1))
-        gap, values = lp.solve()
-        if gap:
-            return lp.certificate(len(lp.rows))
-        scale = math.gcd(*values) or 1
-        weights = [0] * n
-        for j, v in zip(live, values):
-            weights[j] = v // scale
-        threshold = values[-1] // scale
-        # positive form: every weight >= 0, so the kernel's bound is T itself
-        candidate = _weighted_at_least(weights, patterns, full, threshold)
-        wrong = (candidate ^ g) & boundary
-        if not wrong:
-            break
-        new = [(wrong & -wrong).bit_length() - 1]
-    for j in flipped:  # w_j x_j over 1 - x_j: negate w_j and lower T by it
-        threshold -= weights[j]
-        weights[j] = -weights[j]
+
+    def cut(new: list[int], costs: list[list[int]]) -> tuple[list[int], int] | None:
+        """Pose ``new``, then each row the point gets wrong: its gate, or None."""
+        while True:
+            for i in new:
+                on = (g >> i) & 1  # on: -c.v <= 0, off: c.v <= -1, c = (row, -1)
+                s = -1 if on else 1
+                lp.add([s * ((i >> j) & 1) for j in live] + [-s], on - 1)
+            values = _lexmin(lp, costs) if costs else lp.solve()[1]
+            if not values:
+                return None
+            scale = math.gcd(*values) or 1
+            weights = [0] * n
+            for j, v in zip(live, values):
+                weights[j] = v // scale
+            threshold = values[-1] // scale
+            # positive form: every weight >= 0, so the kernel's bound is T itself
+            candidate = _weighted_at_least(weights, patterns, full, threshold)
+            wrong = (candidate ^ g) & boundary
+            if not wrong:
+                return weights, threshold
+            new = [(wrong & -wrong).bit_length() - 1]
+
+    point = cut([r.bit_length() - 1 for r in (mins & -mins, maxs) if r], [])
+    if point is None:
+        return lp.certificate(len(lp.rows))
+    weights, threshold = point
+    signs = [-1 if unate.polarities[j] == "-" else 1 for j in live] + [1]
+    if minimize:
+        units = [[s * (i == k) for i in range(len(signs))] for k, s in enumerate(signs)]
+        weights, threshold = cut([], [[1] * len(live) + [0], *units])
+        if not threshold:  # constant 1: every T <= 0 fits; -n by convention
+            threshold = -n
+    for j, s in zip(live, signs):  # w_j x_j over 1 - x_j: negate w_j and lower T by it
+        if s < 0:
+            threshold -= weights[j]
+            weights[j] = -weights[j]
     gate = ThresholdGate(weights=tuple(weights), threshold=threshold)
     if gate.truth_table() != tt:
         raise RuntimeError("LP solution failed re-evaluation; solver bug")
-    return ThresholdRealization(gate=gate, minimal=False)
+    return ThresholdRealization(gate=gate, minimal=minimize)
 
 
 def solve_threshold(tt: TruthTable) -> ThresholdRealization | NotThreshold:
     """Exact integer realization of ``tt`` as a single threshold gate, or proof
     that none exists."""
-    n = tt.num_inputs
-    if n > SOLVE_MAX_INPUTS:
-        raise ValueError(
-            f"solve_threshold supports up to {SOLVE_MAX_INPUTS} inputs, got {n}"
-        )
-    return _solve(tt, is_unate(tt))
-
-
-def _max_off_below_on(
-    mags: tuple[int, ...], on_rows: list[list[int]], off_rows: list[list[int]]
-) -> int | None:
-    """The largest sum of ``mags`` over an off row, if every on row sums above it."""
-    max_off = max(sum(mags[k] for k in row) for row in off_rows)
-    if all(sum(mags[k] for k in row) > max_off for row in on_rows):
-        return max_off
-    return None
+    return _solve(tt, _unateness(tt, "solve_threshold"))
 
 
 def minimize_weights(tt: TruthTable) -> ThresholdRealization:
-    """Realization with minimal total |w|, ties broken lexicographically.
-
-    '0' variables get weight 0, live ones a magnitude signed by polarity.
-    The compositions of S = live, live + 1, ... are tried as magnitudes on
-    the positive form's boundary rows: feasible when every maximal false row
-    sums below every minimal true row, and T is one above the largest false
-    sum. The first feasible S is the minimum. Only compositions in strict
-    Chow order are built: |m_i| > |m_j| forces |w_i| > |w_j| (Chow, 1961).
-    A constant table gets zero weights and T = 1 (for 0) or -n (for 1).
-    The exact LP runs first: a non-threshold table raises NotThresholdError,
-    and its realization, a candidate in strict Chow order, caps S at its sum|w|.
+    """Realization with minimal total |w|, ties broken lexicographically,
+    from the LP's phase 2 (``_solve``); a non-threshold table raises
+    NotThresholdError. '0' variables get weight 0; a constant table gets
+    zero weights and T = 1 (for 0) or -n (for 1).
     """
-    n = tt.num_inputs
-    if n > MINIMIZE_MAX_INPUTS:
+    res = _solve(tt, _unateness(tt, "minimize_weights"), minimize=True)
+    if isinstance(res, NotThreshold):
+        raise NotThresholdError(res)
+    return res
+
+
+def _unateness(tt: TruthTable, caller: str) -> Unateness | NotUnate:
+    if tt.num_inputs > SOLVE_MAX_INPUTS:
         raise ValueError(
-            f"minimize_weights supports up to {MINIMIZE_MAX_INPUTS} inputs, got {n}"
+            f"{caller} supports up to {SOLVE_MAX_INPUTS} inputs, got {tt.num_inputs}"
         )
-    unate = is_unate(tt)
-    probe = _solve(tt, unate)
-    if isinstance(probe, NotThreshold):
-        raise NotThresholdError(probe)
-
-    chow = [abs(m) for m in chow_parameters(tt).m]
-    live = [j for j, p in enumerate(unate.polarities) if p != "0"]
-    order = sorted(live, key=lambda j: -chow[j])  # strongest first
-    _, mins, maxs = _positive_form(tt, unate, input_patterns(n))
-    on_rows, off_rows = (
-        [[k for k, j in enumerate(order) if i >> j & 1]
-         for i in range(tt.num_rows) if rows >> i & 1]
-        for rows in (mins, maxs)
-    )
-
-    def parts(p: int, rem: int, cap: int, low: int):
-        """Parts for order[p:]: each <= cap, below every part of a stronger group."""
-        if p == len(order):
-            yield ()
-            return
-        if p and chow[order[p]] != chow[order[p - 1]]:
-            cap, low = low - 1, rem  # low: the least part of the current group
-        rest = len(order) - p - 1
-        for v in range(max(1, rem - rest * cap), min(cap, rem - rest) + 1):
-            for tail in parts(p + 1, rem - v, cap, min(low, v)):
-                yield (v, *tail)
-
-    best = None
-    total = len(order)
-    while order and best is None:
-        if total > probe.gate.weight_magnitude_sum:
-            raise RuntimeError("minimizer passed the LP's weight sum; solver bug")
-        for mags in parts(0, total, total, total):
-            max_off = _max_off_below_on(mags, on_rows, off_rows)
-            if max_off is not None:
-                w = [0] * n
-                for j, v in zip(order, mags):
-                    w[j] = v if unate.polarities[j] == "+" else -v
-                cand = (tuple(w), max_off + 1 + sum(v for v in w if v < 0))
-                best = min(best or cand, cand)
-        total += 1
-    w, t = best or ((0,) * n, -n if tt.bits else 1)
-    gate = ThresholdGate(weights=w, threshold=t)
-    if gate.truth_table() != tt:
-        raise RuntimeError("minimized gate failed re-evaluation")
-    return ThresholdRealization(gate=gate, minimal=True)
+    return is_unate(tt)
 
 
 class ThresholdEnumeration(Record):

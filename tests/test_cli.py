@@ -48,7 +48,9 @@ def test_solve_minimize_not_threshold_runs_lp_once(monkeypatch, capsys):
     calls = []
     solve = dwtl.tsolve._SeparationLP.solve
     monkeypatch.setattr(
-        dwtl.tsolve._SeparationLP, "solve", lambda lp: calls.append(lp) or solve(lp)
+        dwtl.tsolve._SeparationLP,
+        "solve",
+        lambda lp, costs=(): calls.append(lp) or solve(lp, costs),
     )
     assert run(["solve", "--tt", "2:0x6", "--minimize"]) == 1
     assert "NOT THRESHOLD" in capsys.readouterr().out

@@ -219,8 +219,23 @@ def test_evaluate_ripple_three_bits():
 
 
 def test_evaluate_missing_input():
-    with pytest.raises(NetlistError):
+    with pytest.raises(NetlistError, match="missing value for input 'b0'"):
         minority_full_adder().evaluate({"a0": 1})
+
+
+def test_evaluate_patterns_names_a_missing_input():
+    with pytest.raises(NetlistError, match="missing value for input 'b0'"):
+        minority_full_adder().evaluate_patterns({"a0": 1}, 1)
+    with pytest.raises(NetlistError, match="missing value for input 'cin'"):
+        minority_full_adder().evaluate_patterns({"a0": 0b01, "b0": 0b10}, 2)
+
+
+@pytest.mark.parametrize("value", [2, 3, -1])
+def test_evaluate_refuses_values_other_than_0_and_1(value):
+    fa = minority_full_adder()
+    with pytest.raises(NetlistError, match="input 'b0' must be 0 or 1"):
+        fa.evaluate({"a0": 1, "b0": value, "cin": 0})
+    assert fa.evaluate({"a0": True, "b0": 0, "cin": 1}) == {"sum0": 0, "cout": 1}
 
 
 def test_evaluate_tie_names_gate():

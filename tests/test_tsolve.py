@@ -338,7 +338,98 @@ def test_minimize_matches_box_search():
         ), tt
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _minimize_by_compositions(tt):
+    # total weights S = live, live + 1, ..., each split into magnitudes in
+    # strict Chow order (|m_i| > |m_j| forces |w_i| > |w_j|, Chow 1961) and
+    # signed by polarity; the first S that separates the table is minimal,
+    # with T one above the largest false sum
+    n = tt.num_inputs
+    polarities = is_unate(tt).polarities
+    chow = [abs(m) for m in chow_parameters(tt).m]
+    live = [j for j, p in enumerate(polarities) if p != "0"]
+    order = sorted(live, key=lambda j: -chow[j])  # strongest first
+    if not order:
+        return 0, (0,) * n, -n if tt.bits else 1
+
+    def parts(p, rem, cap, low):
+        # parts for order[p:]: each <= cap, below every part of a stronger group
+        if p == len(order):
+            yield ()
+            return
+        if p and chow[order[p]] != chow[order[p - 1]]:
+            cap, low = low - 1, rem  # low: the least part of the current group
+        rest = len(order) - p - 1
+        for v in range(max(1, rem - rest * cap), min(cap, rem - rest) + 1):
+            for tail in parts(p + 1, rem - v, cap, min(low, v)):
+                yield (v, *tail)
+
+    total = len(order)
+    while True:
+        best = None
+        for mags in parts(0, total, total, total):
+            w = [0] * n
+            for j, v in zip(order, mags):
+                w[j] = v if polarities[j] == "+" else -v
+            sums = [0]
+            for wj in w:
+                sums += [v + wj for v in sums]
+            on = [v for i, v in enumerate(sums) if tt.bits >> i & 1]
+            off = [v for i, v in enumerate(sums) if not tt.bits >> i & 1]
+            if max(off) < min(on):
+                best = min(best or (tuple(w), max(off) + 1), (tuple(w), max(off) + 1))
+        if best:
+            return (total, *best)
+        total += 1
+
+
+def _seeded_threshold_tables(seed, sizes, count):
+    rng = random.Random(seed)
+    for n in sizes:
+        for _ in range(count):
+            w = tuple(rng.choice((-1, 1)) * rng.randint(1, 2 * n) for _ in range(n))
+            t = rng.randint(sum(v for v in w if v < 0) + 1, sum(v for v in w if v > 0))
+            yield w, ThresholdGate(w, t).truth_table()
+
+
+def test_minimize_matches_composition_search():
+    cases = [
+        TruthTable(n, f)
+        for n in range(1, 5)
+        for f in enumerate_threshold_functions(n).tables
+    ]
+    cases += [tt for _, tt in _seeded_threshold_tables(71, (5, 6), 30)]
+    for tt in cases:
+        gate = minimize_weights(tt).gate
+        assert (gate.weight_magnitude_sum, gate.weights, gate.threshold) == (
+            _minimize_by_compositions(tt)
+        ), tt
+
+
+def test_minimize_eight_inputs_in_a_second():
+    # 52 s for the composition search; the LP takes milliseconds
+    tt = ThresholdGate((9, 10, 12, 15, 19, 24, 30, 37), 78).truth_table()
+    start = time.perf_counter()
+    res = minimize_weights(tt)
+    assert time.perf_counter() - start < 1
+    assert res.minimal
+    assert (res.gate.weights, res.gate.threshold) == ((6, 7, 9, 11, 13, 17, 21, 26), 55)
+
+
+def test_minimize_ten_inputs_in_a_second():
+    for w, tt in _seeded_threshold_tables(73, (10,), 10):
+        start = time.perf_counter()
+        res = minimize_weights(tt)
+        assert time.perf_counter() - start < 1, w
+        assert res.minimal and res.gate.truth_table() == tt
+        assert res.gate.weight_magnitude_sum <= sum(map(abs, w)), w
+
+
+def test_minimize_refuses_past_the_solve_ceiling():
+    with pytest.raises(ValueError, match="minimize_weights supports up to 10 inputs"):
+        minimize_weights(TruthTable(11, 0))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_minimize_constant_tables(n):
     zero = minimize_weights(TruthTable(n, 0))
     one = minimize_weights(TruthTable(n, (1 << (1 << n)) - 1))
@@ -395,12 +486,12 @@ def lps(monkeypatch):
             self.posed = []
             made.append(self)
 
-        def add(self, c, on):
-            self.posed.append((list(c), on))
-            super().add(c, on)
+        def add(self, r, rhs):
+            self.posed.append((list(r), rhs))
+            super().add(r, rhs)
 
-        def solve(self):
-            self.last = super().solve()
+        def solve(self, costs=()):
+            self.last = super().solve(costs)
             return self.last
 
     monkeypatch.setattr(tsolve, "_SeparationLP", RecordingLP)
@@ -408,10 +499,10 @@ def lps(monkeypatch):
 
 
 def _assert_satisfies(posed, d, values):
-    # values is v times d: on rows c.v >= 0, off rows c.v <= -1
-    for c, on in posed:
-        s = sum(a * v for a, v in zip(c, values))
-        assert s >= 0 if on else s <= -d, (c, on, d, values)
+    # values is v times d, and every row asks r.v <= rhs
+    for r, rhs in posed:
+        s = sum(a * v for a, v in zip(r, values))
+        assert s <= rhs * d, (r, rhs, d, values)
 
 
 def _warm_start_cases():
@@ -439,8 +530,8 @@ def test_warm_start_agrees_with_cold_start(lps):
         res = solve_threshold(tt)
         (lp,) = lps
         cold = ColdLP(lp.nv)
-        for c, on in lp.posed:
-            cold.add(c, on)
+        for r, rhs in lp.posed:
+            cold.add(r, rhs)
         gap, values = cold.solve()
         threshold = isinstance(res, ThresholdRealization)
         assert (gap == 0) == (lp.last[0] == 0) == threshold, tt
@@ -462,13 +553,72 @@ def test_warm_start_pivots_weights_1_to_10(lps):
     assert lp.pivots <= 60
 
 
-def test_minimize_stops_at_the_probe_weight_sum(monkeypatch):
-    # the probe's own magnitudes are a candidate, so a search that passes
-    # their sum has a broken feasibility check
-    monkeypatch.setattr(tsolve, "_max_off_below_on", lambda *args: None)
-    with pytest.raises(RuntimeError, match="minimizer passed the LP's weight sum"):
-        minimize_weights(MAJ3)
-    assert minimize_weights(TruthTable(3, 0)).gate.threshold == 1
+def test_minimize_sum_at_most_the_lp_vertex_sum():
+    # the LP's own vertex is a realization, so no minimum exceeds its sum
+    rng = random.Random(67)
+    for n in range(2, 9):
+        for _ in range(10):
+            w = tuple(rng.choice((-1, 1)) * rng.randint(1, 2 * n) for _ in range(n))
+            t = rng.randint(sum(v for v in w if v < 0) + 1, sum(v for v in w if v > 0))
+            tt = ThresholdGate(w, t).truth_table()
+            vertex = solve_threshold(tt).gate
+            gate = minimize_weights(tt).gate
+            assert gate.weight_magnitude_sum <= vertex.weight_magnitude_sum, (w, t)
+
+
+def test_lexmin_branches_on_a_fractional_optimum():
+    # x + 2y >= 1.5: the LP minimum of x + y is y = 0.75, the integer one 1,
+    # where only x = 0, y = 1 fits; minimizing y first, its LP minimum at
+    # x + y = 1 is 0.5, so the second stage branches too
+    lp = ColdLP(2)
+    lp.add([-2, -4], -3)
+    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]]) == [0, 1]
+    assert tsolve._lexmin(lp, [[1, 1], [0, 1], [1, 0]]) == [0, 1]
+    assert tsolve._lexmin(lp, [[1, 0], [0, 1]]) == [0, 1]
+    # 2x + y >= 1: the LP minimum x = 0.5, y = 0 rounds up to (1, 0), but
+    # x = 0 comes first among the integer points of x + y = 1
+    lp = ColdLP(2)
+    lp.add([-2, -1], -1)
+    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]]) == [0, 1]
+
+
+def test_lexmin_matches_a_grid_search():
+    # random rows over a box 0 <= v <= 6, stages sum(v), then each +-v_j
+    rng = random.Random(79)
+    for _ in range(300):
+        nv = rng.randint(2, 3)
+        rows = [
+            ([rng.randint(-4, 4) for _ in range(nv)], rng.randint(-6, 3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        rows += [([int(i == j) for i in range(nv)], 6) for j in range(nv)]
+        stages = [[1] * nv] + [
+            [rng.choice((1, -1)) * int(i == j) for i in range(nv)]
+            for j in rng.sample(range(nv), nv)
+        ]
+        lp = ColdLP(nv)
+        for r, rhs in rows:
+            lp.add(r, rhs)
+        fits = [
+            list(v) for v in itertools.product(range(7), repeat=nv)
+            if all(sum(a * x for a, x in zip(r, v)) <= rhs for r, rhs in rows)
+        ]
+        key = lambda v: [sum(c * x for c, x in zip(stage, v)) for stage in stages]
+        got = tsolve._lexmin(lp, stages)
+        if fits:
+            assert got == min(fits, key=key), (rows, stages)
+        else:  # infeasible, or feasible with no integer point
+            assert got in ([], None), (rows, stages)
+
+
+def test_lexmin_reports_infeasible_and_integer_free_lps():
+    infeasible = ColdLP(1)
+    infeasible.add([1], -1)  # x <= -1
+    assert tsolve._lexmin(infeasible, [[1]]) == []
+    gap = ColdLP(1)
+    gap.add([-2], -1)  # 0.5 <= x <= 0.75: no integer point
+    gap.add([4], 3)
+    assert tsolve._lexmin(gap, [[1]]) is None
 
 
 def test_enumerate_five_inputs():
