@@ -70,7 +70,10 @@ class Netlist(Record):
         violation (``_plan``) raises before any gate runs, so a gate that can tie
         raises ``TieError`` naming it, whether or not a vector hits the tie.
         Each signal is dropped after its last reader unless an output reads it.
+        A name that is not a free input raises ``NetlistError``.
         """
+        if extra := patterns.keys() - self.free_inputs:
+            raise NetlistError(f"unknown inputs: {sorted(extra)}")
         dead_after = self._plan
         mask = (1 << width) - 1
         values: dict[str, int] = {}

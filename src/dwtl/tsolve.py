@@ -231,12 +231,12 @@ class _SeparationLP:
         return NotThreshold(num_constraints, Fraction(-self.obj[0], self.d))
 
 
-def _lexmin(lp: _SeparationLP, costs: Sequence[list[int]]) -> list[int] | None:
-    """The integer point of ``lp`` that minimizes each cost in turn; the
-    costs must fix one point. [] if the LP is infeasible, None if a bounded
-    LP has no integer point. Past a fractional optimum, the first cost is
-    fixed at each integer from its ceiling up, on a copy, until one has an
-    integer point or is infeasible."""
+def _lexmin(lp: _SeparationLP, costs: list[list[int]], ceiling: int) -> list[int] | None:
+    """The integer point of ``lp`` that minimizes each cost in turn; the costs
+    must fix one point, and ``ceiling`` bound each of them there. [] if the LP
+    is infeasible, else None if it has no such point. Past a fractional optimum,
+    the first cost is fixed at each integer from the optimum's up to ``ceiling``,
+    on a copy, until one has an integer point or is infeasible."""
     _, values = lp.solve(costs)
     if all(v % lp.d == 0 for v in values):
         return [v // lp.d for v in values]
@@ -244,19 +244,22 @@ def _lexmin(lp: _SeparationLP, costs: Sequence[list[int]]) -> list[int] | None:
 
     first = costs[0]
     bound = -(-sum(c * v for c, v in zip(first, values)) // lp.d)
-    while True:
+    while bound <= ceiling:
         branch = deepcopy(lp)
         branch.add(first, bound)
         branch.add([-c for c in first], -bound)
-        point = _lexmin(branch, costs[1:])
+        point = _lexmin(branch, costs[1:], ceiling)
         if point is not None:  # [] : infeasible here, so at every larger bound
             return point or None
         bound += 1
+    return None
 
 
-def _flip(bits: int, j: int, patterns: list[int]) -> int:
-    """The table under x_j -> 1 - x_j: the blocks of input_pattern(j, n) swap."""
-    return ((bits & patterns[j]) >> (1 << j)) | ((bits & ~patterns[j]) << (1 << j))
+def _delta_swap(bits: int, mask: int, shift: int) -> int:
+    """Trade each row in ``mask`` for the row ``shift`` = 2^j above it: mask
+    ~input_pattern(j, n) flips x_j; the rows with x_j = 1, x_{j+1} = 0 swap the two."""
+    t = (bits ^ (bits >> shift)) & mask
+    return bits ^ t ^ (t << shift)
 
 
 def _positive_form(
@@ -267,7 +270,7 @@ def _positive_form(
     g = tt.bits
     for j, p in enumerate(unate.polarities):
         if p == "-":
-            g = _flip(g, j, patterns)
+            g = _delta_swap(g, ~patterns[j], 1 << j)
     lowered = raised = 0  # rows with a true row below / a false row above
     for j, pattern in enumerate(patterns):
         lowered |= pattern & (g << (1 << j))
@@ -319,7 +322,9 @@ def _solve(
                 on = (g >> i) & 1  # on: -c.v <= 0, off: c.v <= -1, c = (row, -1)
                 s = -1 if on else 1
                 lp.add([s * ((i >> j) & 1) for j in live] + [-s], on - 1)
-            values = _lexmin(lp, costs) if costs else lp.solve()[1]
+            # costs come after the probe, ``point``: it fits every working set,
+            # so its sum |w| bounds each stage
+            values = _lexmin(lp, costs, sum(point[0])) if costs else lp.solve()[1]
             if not values:
                 return None
             scale = math.gcd(*values) or 1
@@ -392,11 +397,12 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
     Every threshold function is unate, and flipping its '-' variables gives
     a positive threshold function, which is monotone. So the monotone
     functions are built bottom-up, as f0 | f1 << 2^k with f0 a subset of f1
-    (7,581 at n = 5, the Dedekind number), each one is decided by the exact
-    LP, and every positive threshold function is expanded into its flips
-    over its essential variables (Muroga, *Threshold Logic and Its
-    Applications*, 1971). Distinct flips give distinct polarities, so the
-    union is disjoint. Every positive answer still comes from the exact LP.
+    (7,581 at n = 5, the Dedekind number). Permuting variables permutes
+    weights, so one exact LP decides each permutation class (210 at n = 5),
+    and every member of a threshold class is expanded into its flips over
+    its essential variables (Muroga, *Threshold Logic and Its Applications*,
+    1971). Distinct flips give distinct polarities, so the union is
+    disjoint. Every positive answer still comes from the exact LP.
     """
     if not 1 <= n <= ENUMERATE_MAX_INPUTS:
         raise ValueError(
@@ -409,17 +415,26 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
             f0 | f1 << shift for f1 in monotone for f0 in monotone if not f0 & ~f1
         ]
     patterns = input_patterns(n)
+    swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
+    decided: set[int] = set()
     tables: list[int] = []
     for f in monotone:
-        tt = TruthTable(n, f)
-        unate = is_unate(tt)
-        if isinstance(_solve(tt, unate), NotThreshold):
+        if f in decided:
             continue
-        flips = [f]
-        for j, p in enumerate(unate.polarities):
-            if p == "+":
-                flips += [_flip(g, j, patterns) for g in flips]
-        tables += flips
+        orbit, new = [], {f}
+        while new:  # breadth first: the closure of {f} under adjacent swaps
+            decided |= new
+            orbit += new
+            new = {_delta_swap(g, m, s) for g in new for m, s in swaps} - decided
+        tt = TruthTable(n, f)
+        if isinstance(_solve(tt, is_unate(tt)), NotThreshold):
+            continue
+        for g in orbit:
+            flips = [g]
+            for j, pattern in enumerate(patterns):
+                if _delta_swap(g, ~pattern, 1 << j) != g:  # x_j is essential
+                    flips += [_delta_swap(h, ~pattern, 1 << j) for h in flips]
+            tables += flips
     tables.sort()
     return ThresholdEnumeration(num_inputs=n, count=len(tables), tables=tuple(tables))
 

@@ -81,6 +81,13 @@ def test_eval_refuses_repeated_input(fa1, capsys):
     assert captured.out == ""
 
 
+def test_eval_refuses_unknown_input(fa1, capsys):
+    assert run(["eval", str(fa1), "--set", "a0=1,zz=1,b0=0,cin=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown inputs: ['zz']\n"
+    assert captured.out == ""
+
+
 def test_tt_text(fa1, capsys):
     assert run(["tt", str(fa1)]) == 0
     out = capsys.readouterr().out

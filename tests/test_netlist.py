@@ -230,6 +230,18 @@ def test_evaluate_patterns_names_a_missing_input():
         minority_full_adder().evaluate_patterns({"a0": 0b01, "b0": 0b10}, 2)
 
 
+def test_evaluate_refuses_unknown_inputs():
+    fa = minority_full_adder()
+    with pytest.raises(NetlistError, match=r"^unknown inputs: \['zz'\]$"):
+        fa.evaluate({"a0": 1, "b0": 1, "cin": 0, "zz": 1})
+    # the pinned constant is not a free input; the names come sorted
+    with pytest.raises(NetlistError, match=r"^unknown inputs: \['one', 'zz'\]$"):
+        fa.evaluate_patterns({"zz": 1, "a0": 0b01, "b0": 0b10, "cin": 0, "one": 3}, 2)
+    # checked before a missing input
+    with pytest.raises(NetlistError, match=r"^unknown inputs: \['b1'\]$"):
+        fa.evaluate_patterns({"a0": 1, "b1": 1}, 1)
+
+
 @pytest.mark.parametrize("value", [2, 3, -1])
 def test_evaluate_refuses_values_other_than_0_and_1(value):
     fa = minority_full_adder()

@@ -20,7 +20,7 @@ from dwtl import (
     threshold_tables_by_search,
 )
 from dwtl import tsolve
-from dwtl.table import ENUMERATE_MAX_INPUTS, input_pattern, input_patterns
+from dwtl.table import ENUMERATE_MAX_INPUTS, assignment_of, input_pattern
 
 MAJ3 = TruthTable(3, 0xE8)
 MIN3 = TruthTable(3, 0x17)
@@ -181,8 +181,9 @@ def test_enumerate_matches_direct_solve(n):
 
 
 def test_enumerate_solves_only_the_monotone_functions(monkeypatch):
-    # 168 monotone functions of 4 inputs (Dedekind number); is_unate on a
-    # monotone table reports only '+' and '0', so no witness is ever built
+    # one LP per permutation class of the monotone functions: 30 classes of
+    # the 168 at 4 inputs, 210 of the 7,581 at 5 (OEIS A003182); is_unate on
+    # a monotone table reports only '+' and '0', so no witness is ever built
     solved = []
     real_solve, real_is_unate = tsolve._solve, tsolve.is_unate
 
@@ -199,7 +200,36 @@ def test_enumerate_solves_only_the_monotone_functions(monkeypatch):
     monkeypatch.setattr(tsolve, "_solve", counting_solve)
     monkeypatch.setattr(tsolve, "is_unate", checked_is_unate)
     assert enumerate_threshold_functions(4).count == 1882
-    assert len(solved) == len(set(solved)) == 168
+    assert len(solved) == len(set(solved)) == 30
+    solved.clear()
+    assert enumerate_threshold_functions(5).count == 94_572
+    assert len(solved) == len(set(solved)) == 210
+
+
+def _moved(tables, n, move):
+    """Each table with row x sent to row move(x), x decoded by assignment_of;
+    the rows go through a byte at a time, each byte's image looked up once."""
+    target = [
+        sum(v << j for j, v in enumerate(move(assignment_of(i, n)))) for i in range(1 << n)
+    ]
+    step = min(8, 1 << n)
+    images = [
+        [sum(1 << target[k + r] for r in range(step) if c >> r & 1) for c in range(1 << step)]
+        for k in range(0, 1 << n, step)
+    ]
+    return {
+        sum(map(list.__getitem__, images, f.to_bytes(len(images), "little")))
+        for f in tables
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_enumerate_closed_under_every_transposition(n):
+    tables = set(enumerate_threshold_functions(n).tables)
+    for a, b in itertools.combinations(range(n), 2):
+        swap = {a: b, b: a}
+        moved = _moved(tables, n, lambda x: [x[swap.get(k, k)] for k in range(n)])
+        assert moved == tables, (a, b)
 
 
 def test_solver_soundness_random_n5():
@@ -572,14 +602,14 @@ def test_lexmin_branches_on_a_fractional_optimum():
     # x + y = 1 is 0.5, so the second stage branches too
     lp = ColdLP(2)
     lp.add([-2, -4], -3)
-    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]]) == [0, 1]
-    assert tsolve._lexmin(lp, [[1, 1], [0, 1], [1, 0]]) == [0, 1]
-    assert tsolve._lexmin(lp, [[1, 0], [0, 1]]) == [0, 1]
+    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]], 3) == [0, 1]
+    assert tsolve._lexmin(lp, [[1, 1], [0, 1], [1, 0]], 3) == [0, 1]
+    assert tsolve._lexmin(lp, [[1, 0], [0, 1]], 3) == [0, 1]
     # 2x + y >= 1: the LP minimum x = 0.5, y = 0 rounds up to (1, 0), but
     # x = 0 comes first among the integer points of x + y = 1
     lp = ColdLP(2)
     lp.add([-2, -1], -1)
-    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]]) == [0, 1]
+    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]], 3) == [0, 1]
 
 
 def test_lexmin_matches_a_grid_search():
@@ -604,7 +634,7 @@ def test_lexmin_matches_a_grid_search():
             if all(sum(a * x for a, x in zip(r, v)) <= rhs for r, rhs in rows)
         ]
         key = lambda v: [sum(c * x for c, x in zip(stage, v)) for stage in stages]
-        got = tsolve._lexmin(lp, stages)
+        got = tsolve._lexmin(lp, stages, 6 * nv)  # bounds sum(v) and each v_j
         if fits:
             assert got == min(fits, key=key), (rows, stages)
         else:  # infeasible, or feasible with no integer point
@@ -614,11 +644,27 @@ def test_lexmin_matches_a_grid_search():
 def test_lexmin_reports_infeasible_and_integer_free_lps():
     infeasible = ColdLP(1)
     infeasible.add([1], -1)  # x <= -1
-    assert tsolve._lexmin(infeasible, [[1]]) == []
+    assert tsolve._lexmin(infeasible, [[1]], 5) == []
     gap = ColdLP(1)
     gap.add([-2], -1)  # 0.5 <= x <= 0.75: no integer point
     gap.add([4], 3)
-    assert tsolve._lexmin(gap, [[1]]) is None
+    assert tsolve._lexmin(gap, [[1]], 5) is None
+
+
+def test_lexmin_gives_up_past_its_ceiling():
+    # x - y = 0.5 has no integer point, and x + y is unbounded on it, so the
+    # branch on x + y only ends at the ceiling
+    lp = ColdLP(2)
+    lp.add([2, -2], 1)
+    lp.add([-2, 2], -1)
+    start = time.perf_counter()
+    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]], 50) is None
+    assert time.perf_counter() - start < 2
+    # x + 2y >= 1.5: the integer minimum of x + y is 1, above a ceiling of 0
+    lp = ColdLP(2)
+    lp.add([-2, -4], -3)
+    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]], 0) is None
+    assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]], 1) == [0, 1]
 
 
 def test_enumerate_five_inputs():
@@ -626,9 +672,8 @@ def test_enumerate_five_inputs():
     assert ENUMERATE_MAX_INPUTS == 5
     assert enum.count == len(enum.tables) == 94_572  # OEIS A000609
     inside = set(enum.tables)
-    patterns = input_patterns(5)
     for j in range(5):
-        assert {tsolve._flip(f, j, patterns) for f in enum.tables} == inside
+        assert _moved(inside, 5, lambda x: x[:j] + (1 - x[j],) + x[j + 1:]) == inside, j
     # 100 weighted sums built without the LP, 100 uniform tables
     rng = random.Random(59)
     for k in range(200):
