@@ -9,10 +9,7 @@ import importlib
 _HOME = {
     name: module
     for module, names in {
-        "gates": (
-            "ArityError", "SpinMinorityGate", "ThresholdGate", "TieError",
-            "bit_to_spin", "spin_to_bit",
-        ),
+        "gates": ("SpinMinorityGate", "ThresholdGate", "TieError"),
         "netlist": (
             "CONST_ONE", "CostReport", "Counterexample", "EquivalenceResult",
             "GateDef", "Netlist", "NetlistError", "OutputDef",
@@ -24,10 +21,9 @@ _HOME = {
             "parse_truth_table", "print_netlist",
         ),
         "tsolve": (
-            "ChowVector", "NotThreshold", "NotThresholdError", "NotUnate",
-            "ThresholdRealization", "Unateness", "chow_parameters",
-            "enumerate_threshold_functions", "is_unate", "minimize_weights",
-            "solve_threshold", "threshold_tables_by_search",
+            "NotThreshold", "NotThresholdError", "NotUnate", "ThresholdRealization",
+            "Unateness", "enumerate_threshold_functions", "is_unate",
+            "minimize_weights", "solve_threshold", "threshold_tables_by_search",
         ),
         "constructions": ("constructions",),  # the module itself
     }.items()

@@ -1,10 +1,10 @@
-"""Spin-minority and threshold gate models with exact conversions.
+"""Spin-minority and threshold gate models.
 
 A spin-minority gate sums weighted +/-1 spins and outputs 1 when the sum is
 positive; logic 1 maps to spin +1, logic 0 to spin -1. Negative weights invert
-their input for free. The 0/1-domain threshold gate is the derived canonical
-form used by the weight solver. Both gates' truth tables, the tie check and
-netlist evaluation go through one bit-sliced weighted-sum comparator.
+their input for free. The 0/1-domain threshold gate is the form the weight
+solver emits. Both gates' truth tables, the tie check and netlist evaluation
+go through one bit-sliced weighted-sum comparator.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from .table import Record, TruthTable, assignment_of, input_patterns
-
-
-class ArityError(ValueError):
-    """Input vector length does not match the gate's fan-in."""
 
 
 class TieError(ValueError):
@@ -85,17 +81,15 @@ def _all_rows(fan_in: int) -> tuple[list[int], int]:
     return input_patterns(fan_in), (1 << (1 << fan_in)) - 1
 
 
-def bit_to_spin(bit: int) -> int:
-    """Map logic 0/1 to spin -1/+1."""
-    return 2 * (bit & 1) - 1
-
-
-def spin_to_bit(spin: int) -> int:
-    if spin == 1:
-        return 1
-    if spin == -1:
-        return 0
-    raise ValueError(f"spin value must be +1 or -1, got {spin}")
+def _check_weights(weights: Sequence[int], nonzero: bool) -> None:
+    """Both gates' check: at least one weight, each an int (a bool would print
+    as ``w=True``), and with ``nonzero``, none of them 0."""
+    if len(weights) < 1:
+        raise ValueError("gate needs at least one input")
+    for w in weights:
+        if type(w) is not int or (nonzero and w == 0):
+            kind = "nonzero integers" if nonzero else "integers"
+            raise ValueError(f"weights must be {kind}, got {w!r}")
 
 
 class SpinMinorityGate(Record):
@@ -108,11 +102,7 @@ class SpinMinorityGate(Record):
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.weights) < 1:
-            raise ValueError("gate needs at least one input")
-        for w in self.weights:
-            if not isinstance(w, int) or w == 0:
-                raise ValueError(f"weights must be nonzero integers, got {w!r}")
+        _check_weights(self.weights, nonzero=True)
 
     @property
     def fan_in(self) -> int:
@@ -121,19 +111,6 @@ class SpinMinorityGate(Record):
     @cached_property  # read by every tie check and evaluation; weights are frozen
     def weight_magnitude_sum(self) -> int:
         return sum(map(abs, self.weights))
-
-    def eval(self, x: Sequence[int]) -> int:
-        if len(x) != self.fan_in:
-            raise ArityError(f"gate has fan-in {self.fan_in}, got {len(x)} inputs")
-        acc = sum(w * bit_to_spin(b) for w, b in zip(self.weights, x))
-        if acc > 0:
-            return 1
-        if acc < 0:
-            return 0
-        raise TieError(
-            f"tie at assignment {tuple(x)}: weighted spin sum is zero",
-            assignment=tuple(x),
-        )
 
     def eval_patterns(self, srcs: Sequence[int], mask: int) -> int:
         """Packed output over packed input patterns: 1 where the spin sum is positive.
@@ -147,14 +124,11 @@ class SpinMinorityGate(Record):
             self.weights, srcs, mask, self.weight_magnitude_sum // 2 + 1
         )
 
-    def _refuse_ties(self) -> None:
+    def truth_table(self) -> TruthTable:
+        """Table of the gate; a gate that can tie raises at its lowest tie row."""
         ties = self.tie_assignments()
         if ties:
             raise TieError(f"tie at assignment {ties[0]}", assignment=ties[0])
-
-    def truth_table(self) -> TruthTable:
-        """Table of the gate; a gate that can tie raises at its lowest tie row."""
-        self._refuse_ties()
         return TruthTable(self.fan_in, self.eval_patterns(*_all_rows(self.fan_in)))
 
     def tie_assignments(self) -> list[tuple[int, ...]]:
@@ -180,25 +154,6 @@ class SpinMinorityGate(Record):
             if bit == "1"
         )
 
-    def is_well_defined(self) -> bool:
-        return not self.tie_assignments()
-
-    def to_threshold(self) -> "ThresholdGate":
-        """Exact 0/1-domain form: same table, weights doubled, T = sum(w) + 1.
-
-        Follows from s = 2x - 1: the spin sum is positive iff
-        2*sum(w_i x_i) >= sum(w_i) + 1 over integers.
-        """
-        return ThresholdGate(
-            weights=tuple(2 * w for w in self.weights),
-            threshold=sum(self.weights) + 1,
-        )
-
-    def complemented(self) -> "SpinMinorityGate":
-        """Gate with all weight signs flipped; its table is the bitwise complement."""
-        self._refuse_ties()
-        return SpinMinorityGate(tuple(-w for w in self.weights))
-
 
 class ThresholdGate(Record):
     """0/1-domain gate: output 1 iff sum(w_i * x_i) >= threshold."""
@@ -207,8 +162,9 @@ class ThresholdGate(Record):
     threshold: int
 
     def __post_init__(self) -> None:
-        if len(self.weights) < 1:
-            raise ValueError("gate needs at least one input")
+        _check_weights(self.weights, nonzero=False)  # the solver emits zero weights
+        if type(self.threshold) is not int:
+            raise ValueError(f"threshold must be an integer, got {self.threshold!r}")
 
     @property
     def fan_in(self) -> int:
@@ -217,11 +173,6 @@ class ThresholdGate(Record):
     @property
     def weight_magnitude_sum(self) -> int:
         return sum(abs(w) for w in self.weights)
-
-    def eval(self, x: Sequence[int]) -> int:
-        if len(x) != self.fan_in:
-            raise ArityError(f"gate has fan-in {self.fan_in}, got {len(x)} inputs")
-        return int(sum(w * (b & 1) for w, b in zip(self.weights, x)) >= self.threshold)
 
     def truth_table(self) -> TruthTable:
         """sum(w_j * x_j) >= T iff sum(|w_j| * y_j) >= T + sum of |w_j| over w_j < 0."""

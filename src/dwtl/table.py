@@ -122,6 +122,3 @@ class TruthTable(Record):
     def complement(self) -> "TruthTable":
         mask = (1 << self.num_rows) - 1
         return TruthTable(self.num_inputs, self.bits ^ mask)
-
-    def on_set_size(self) -> int:
-        return self.bits.bit_count()

@@ -44,13 +44,6 @@ class NotThresholdError(ValueError):
         self.certificate = certificate
 
 
-class ChowVector(Record):
-    """On-set balance m0 = 2|on-set| - 2^n and per-variable spin correlations."""
-
-    m0: int
-    m: tuple[int, ...]
-
-
 class Unateness(Record):
     """Per-variable polarity: '+' nondecreasing, '-' nonincreasing, '0' independent."""
 
@@ -86,17 +79,6 @@ class NotThreshold(Record):
 
     num_constraints: int
     infeasibility_gap: Fraction
-
-
-def chow_parameters(tt: TruthTable) -> ChowVector:
-    n = tt.num_inputs
-    on_size = tt.on_set_size()
-    m = [0] * n
-    for j in range(n):
-        ones_j = (tt.bits & input_pattern(j, n)).bit_count()
-        # sum of 2x_j - 1 over the on-set
-        m[j] = 2 * ones_j - on_size
-    return ChowVector(m0=2 * on_size - tt.num_rows, m=tuple(m))
 
 
 def is_unate(tt: TruthTable) -> Unateness | NotUnate:

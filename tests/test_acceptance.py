@@ -144,7 +144,7 @@ def test_acceptance_5_solver_completeness_n4(capsys):
 
 
 def test_acceptance_6_property_suites(capsys):
-    from tests_util import random_valid_netlist  # local helper below
+    from tests_util import negated, random_valid_netlist, to_threshold
 
     t0 = time.perf_counter()
     rng = random.Random(0xD0DA11)
@@ -158,7 +158,7 @@ def test_acceptance_6_property_suites(capsys):
                 rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(fan_in)
             )
         g = SpinMinorityGate(weights)
-        assert g.truth_table() == g.to_threshold().truth_table()
+        assert g.truth_table() == to_threshold(g).truth_table()
 
     # parity tie-freedom
     for _ in range(2_000):
@@ -178,8 +178,8 @@ def test_acceptance_6_property_suites(capsys):
                 rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(fan_in)
             )
         g = SpinMinorityGate(weights)
-        assert g.complemented().complemented() == g
-        assert g.complemented().truth_table() == g.truth_table().complement()
+        assert negated(negated(g)) == g
+        assert negated(g).truth_table() == g.truth_table().complement()
         k = rng.randint(2, 4)
         assert (
             SpinMinorityGate(tuple(k * w for w in weights)).truth_table()

@@ -23,6 +23,7 @@ from dwtl.constructions import (
     ripple_adder,
     weighted_sum_gate,
 )
+from tests_util import spin_eval
 
 
 def test_minority_full_adder_shape():
@@ -50,7 +51,7 @@ def test_weighted_sum_gate_weights():
 
 def test_weighted_sum_gate_single_row():
     # 1 + 1 + 0 has sum bit 0, so the complement output is 1
-    assert weighted_sum_gate().eval((1, 1, 0, 0)) == 1
+    assert spin_eval(weighted_sum_gate().weights, (1, 1, 0, 0)) == 1
 
 
 def test_weighted_sum_gate_composed_table():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from dwtl import SpinMinorityGate, ThresholdGate, TieError, ArityError, TooManyInputsError
+from dwtl import SpinMinorityGate, ThresholdGate, TieError, TooManyInputsError
 from dwtl.gates import _weighted_at_least
 from dwtl.table import assignment_of
+from tests_util import negated, spin_eval, threshold_eval, to_threshold
 
 
 MIN3 = SpinMinorityGate((-1, -1, -1))
@@ -12,33 +13,47 @@ MAJ3 = SpinMinorityGate((1, 1, 1))
 
 
 def test_minority_of_all_zeros_is_one():
-    assert MIN3.eval((0, 0, 0)) == 1
+    assert spin_eval(MIN3.weights, (0, 0, 0)) == 1
+    assert MIN3.truth_table().bit(0b000) == 1
 
 
 def test_majority_ones_gives_zero():
-    assert MIN3.eval((1, 1, 0)) == 0
+    assert spin_eval(MIN3.weights, (1, 1, 0)) == 0
+    assert MIN3.truth_table().bit(0b011) == 0
 
 
 def test_weighted_gate_direct_arithmetic():
     # spin sum -1 -1 +1 +2 = 1 > 0
     g = SpinMinorityGate((-1, -1, -1, -2))
-    assert g.eval((1, 1, 0, 0)) == 1
-
-
-def test_arity_mismatch():
-    with pytest.raises(ArityError):
-        MIN3.eval((0, 1))
+    assert spin_eval(g.weights, (1, 1, 0, 0)) == 1
+    assert g.truth_table().bit(0b0011) == 1
 
 
 def test_tie_raises():
-    g = SpinMinorityGate((-1, -1))
-    with pytest.raises(TieError):
-        g.eval((0, 1))
+    with pytest.raises(TieError) as exc:
+        spin_eval((-1, -1), (0, 1))
+    assert exc.value.assignment == (0, 1)
+    assert (0, 1) in SpinMinorityGate((-1, -1)).tie_assignments()
 
 
 def test_zero_weight_rejected():
     with pytest.raises(ValueError):
         SpinMinorityGate((1, 0))
+
+
+def test_non_integer_weights_and_thresholds_rejected():
+    for bad in ((1.5,), (1, 2.0), (1, "2"), (True, -1, 1)):
+        with pytest.raises(ValueError, match="weights must be nonzero integers"):
+            SpinMinorityGate(bad)
+        with pytest.raises(ValueError, match="weights must be integers"):
+            ThresholdGate(bad, 1)
+    for bad in (0.5, 1.0, "1", None, False):
+        with pytest.raises(ValueError, match="threshold must be an integer"):
+            ThresholdGate((1,), bad)
+    with pytest.raises(ValueError, match="gate needs at least one input"):
+        ThresholdGate((), 0)
+    # zero weights stay allowed: the solver gives '0' variables weight 0
+    assert ThresholdGate((0, 1), 1).truth_table().bits == 0b1100
 
 
 def test_min3_table():
@@ -62,39 +77,34 @@ def test_truth_table_reports_tie():
 
 
 def test_to_threshold_min3():
-    t = MIN3.to_threshold()
+    t = to_threshold(MIN3)
     assert t.weights == (-2, -2, -2)
     assert t.threshold == -2
     assert t.truth_table() == MIN3.truth_table()
 
 
 def test_to_threshold_maj3():
-    t = MAJ3.to_threshold()
+    t = to_threshold(MAJ3)
     assert t.weights == (2, 2, 2)
     assert t.threshold == 4
     assert t.truth_table() == MAJ3.truth_table()
 
 
 def test_to_threshold_identity():
-    t = SpinMinorityGate((1,)).to_threshold()
+    t = to_threshold(SpinMinorityGate((1,)))
     assert t.weights == (2,)
     assert t.threshold == 2
     assert t.truth_table().bits == 0b10
 
 
 def test_complement_min_maj():
-    assert MIN3.complemented() == MAJ3
-    assert SpinMinorityGate((-1,)).complemented() == SpinMinorityGate((1,))
+    assert negated(MIN3) == MAJ3
+    assert negated(SpinMinorityGate((-1,))) == SpinMinorityGate((1,))
 
 
 def test_complement_weighted_tables():
     g = SpinMinorityGate((-1, -1, -1, -2))
-    assert g.complemented().truth_table() == g.truth_table().complement()
-
-
-def test_complement_requires_well_defined():
-    with pytest.raises(TieError):
-        SpinMinorityGate((-1, -1)).complemented()
+    assert negated(g).truth_table() == g.truth_table().complement()
 
 
 def test_tie_assignments():
@@ -113,7 +123,7 @@ def test_spin_threshold_agreement_random():
                 rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(fan_in)
             )
         g = SpinMinorityGate(weights)
-        assert g.truth_table() == g.to_threshold().truth_table()
+        assert g.truth_table() == to_threshold(g).truth_table()
 
 
 def test_parity_tie_freedom_random():
@@ -137,7 +147,9 @@ def test_complement_involution_random():
         while weights is None or sum(abs(w) for w in weights) % 2 == 0:
             weights = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(fan_in))
         g = SpinMinorityGate(weights)
-        assert g.complemented().complemented() == g
+        assert negated(negated(g)) == g
+        assert negated(negated(g)).truth_table() == g.truth_table()
+        assert negated(g).truth_table() == g.truth_table().complement()
 
 
 def test_scaling_invariance():
@@ -155,12 +167,13 @@ def test_scaling_invariance():
 
 def test_threshold_gate_eval():
     and2 = ThresholdGate((1, 1), 2)
-    assert [and2.eval((a, b)) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 1]
+    rows = [(a, b) for a in (0, 1) for b in (0, 1)]
+    assert [threshold_eval(and2.weights, 2, x) for x in rows] == [0, 0, 0, 1]
     assert and2.truth_table().bits == 0b1000
 
 
 def test_tables_and_ties_match_direct_sums_random():
-    # the packed weighted-sum kernel against per-row eval and a direct scan
+    # the packed weighted-sum kernel against the per-vector oracles and a direct scan
     rng = random.Random(19)
     magnitudes = [1, 2, 3, 5, 8, 1 << 40]
     tie_prone = 0
@@ -183,7 +196,9 @@ def test_tables_and_ties_match_direct_sums_random():
             assert exc.value.assignment == ties[0]
         else:
             tt = gate.truth_table()
-            assert [tt.bit(i) for i in range(1 << n)] == [gate.eval(x) for x in rows]
+            assert [tt.bit(i) for i in range(1 << n)] == [
+                spin_eval(weights, x) for x in rows
+            ]
 
         weights = tuple(
             rng.choice((-1, 0, 1)) * rng.choice(magnitudes) for _ in range(n)
@@ -201,7 +216,9 @@ def test_tables_and_ties_match_direct_sums_random():
         ):
             tg = ThresholdGate(weights, t)
             tt = tg.truth_table()
-            assert [tt.bit(i) for i in range(1 << n)] == [tg.eval(x) for x in rows]
+            assert [tt.bit(i) for i in range(1 << n)] == [
+                threshold_eval(weights, t, x) for x in rows
+            ]
     assert 0 < tie_prone < 200
 
 

@@ -12,7 +12,6 @@ from dwtl import (
     ThresholdGate,
     TruthTable,
     Unateness,
-    chow_parameters,
     enumerate_threshold_functions,
     is_unate,
     minimize_weights,
@@ -21,6 +20,7 @@ from dwtl import (
 )
 from dwtl import tsolve
 from dwtl.table import ENUMERATE_MAX_INPUTS, assignment_of, input_pattern
+from tests_util import chow_parameters
 
 MAJ3 = TruthTable(3, 0xE8)
 MIN3 = TruthTable(3, 0x17)
@@ -30,21 +30,15 @@ NOT1 = TruthTable(1, 0b01)
 
 
 def test_chow_maj3():
-    cv = chow_parameters(MAJ3)
-    assert cv.m0 == 0
-    assert cv.m == (2, 2, 2)
+    assert chow_parameters(MAJ3) == (0, (2, 2, 2))
 
 
 def test_chow_and2():
-    cv = chow_parameters(AND2)
-    assert cv.m0 == -2
-    assert cv.m == (1, 1)
+    assert chow_parameters(AND2) == (-2, (1, 1))
 
 
 def test_chow_constant_zero():
-    cv = chow_parameters(TruthTable(2, 0))
-    assert cv.m0 == -4
-    assert cv.m == (0, 0)
+    assert chow_parameters(TruthTable(2, 0)) == (-4, (0, 0))
 
 
 def test_unate_maj3():
@@ -101,8 +95,8 @@ def test_chow_sign_consistency():
         tt = TruthTable(n, rng.randrange(1 << (1 << n)))
         res = solve_threshold(tt)
         if isinstance(res, ThresholdRealization):
-            cv = chow_parameters(tt)
-            for w, m in zip(res.gate.weights, cv.m):
+            _, chow = chow_parameters(tt)
+            for w, m in zip(res.gate.weights, chow):
                 if m != 0:
                     assert w == 0 or (w > 0) == (m > 0)
 
@@ -375,7 +369,7 @@ def _minimize_by_compositions(tt):
     # with T one above the largest false sum
     n = tt.num_inputs
     polarities = is_unate(tt).polarities
-    chow = [abs(m) for m in chow_parameters(tt).m]
+    chow = [abs(m) for m in chow_parameters(tt)[1]]
     live = [j for j, p in enumerate(polarities) if p != "0"]
     order = sorted(live, key=lambda j: -chow[j])  # strongest first
     if not order:
@@ -494,7 +488,7 @@ def test_minimize_random_six_inputs_keep_chow_order():
         res = minimize_weights(tt)
         assert res.minimal and res.gate.truth_table() == tt
         assert res.gate.weight_magnitude_sum <= sum(map(abs, w))
-        m = [abs(v) for v in chow_parameters(tt).m]
+        m = [abs(v) for v in chow_parameters(tt)[1]]
         got = [abs(v) for v in res.gate.weights]
         for i, j in itertools.permutations(range(6), 2):
             if m[i] > m[j]:
@@ -610,6 +604,28 @@ def test_lexmin_branches_on_a_fractional_optimum():
     lp = ColdLP(2)
     lp.add([-2, -1], -1)
     assert tsolve._lexmin(lp, [[1, 1], [1, 0], [0, 1]], 3) == [0, 1]
+
+
+def test_minimize_branches_where_solve_reaches_it(monkeypatch):
+    # the first seeded n = 7 table whose phase-2 optimum is fractional (every
+    # n <= 5 threshold function and 300 seeded n = 6 tables have an integer
+    # one), so _solve calls _lexmin's branch, with the probe's sum as ceiling
+    tt = TruthTable(7, 0xFFFFFFFAFFFAFA80FFFFFFE8FFE8E800)
+    stages = []
+    lexmin = tsolve._lexmin
+
+    def recording(lp, costs, ceiling):
+        stages.append(len(costs))
+        return lexmin(lp, costs, ceiling)
+
+    monkeypatch.setattr(tsolve, "_lexmin", recording)
+    start = time.perf_counter()
+    gate = minimize_weights(tt).gate
+    assert time.perf_counter() - start < 1  # a few milliseconds
+    assert min(stages) < max(stages)  # the branch re-entered on the later costs
+    want = (15, (2, 1, 2, 3, 3, 3, 1), 6)
+    assert (gate.weight_magnitude_sum, gate.weights, gate.threshold) == want
+    assert _minimize_by_compositions(tt) == want
 
 
 def test_lexmin_matches_a_grid_search():

@@ -1,8 +1,50 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite: random netlists, and reference code the
+library does not carry. ``spin_eval`` and ``threshold_eval`` evaluate a gate
+one vector at a time, apart from the packed weighted-sum kernel."""
 
 import random
 
-from dwtl import GateDef, Netlist, OutputDef, SpinMinorityGate
+from dwtl import GateDef, Netlist, OutputDef, SpinMinorityGate, ThresholdGate, TieError
+from dwtl.table import input_pattern
+
+
+def spin_eval(weights, x):
+    """1 if the weighted spin sum of bits ``x`` (0 -> -1, 1 -> +1) is positive,
+    0 if it is negative; a zero sum raises TieError at ``x``."""
+    assert len(x) == len(weights), (weights, x)
+    acc = sum(w * (2 * (b & 1) - 1) for w, b in zip(weights, x))
+    if acc == 0:
+        raise TieError(
+            f"tie at assignment {tuple(x)}: weighted spin sum is zero",
+            assignment=tuple(x),
+        )
+    return int(acc > 0)
+
+
+def threshold_eval(weights, threshold, x):
+    """1 if sum(w_i * x_i) >= threshold over bits ``x``, else 0."""
+    assert len(x) == len(weights), (weights, x)
+    return int(sum(w * (b & 1) for w, b in zip(weights, x)) >= threshold)
+
+
+def to_threshold(gate):
+    """The 0/1-domain form of a spin-minority gate: weights doubled and
+    T = sum(w) + 1, since with s = 2x - 1 the spin sum is positive iff
+    2 * sum(w_i x_i) >= sum(w_i) + 1 over integers."""
+    return ThresholdGate(tuple(2 * w for w in gate.weights), sum(gate.weights) + 1)
+
+
+def negated(gate):
+    """The spin-minority gate with every weight's sign flipped."""
+    return SpinMinorityGate(tuple(-w for w in gate.weights))
+
+
+def chow_parameters(tt):
+    """(m0, m): on-set balance m0 = 2|on-set| - 2^n and, per variable j, the
+    sum of 2x_j - 1 over the on-set."""
+    n, on = tt.num_inputs, tt.bits.bit_count()
+    m = tuple(2 * (tt.bits & input_pattern(j, n)).bit_count() - on for j in range(n))
+    return 2 * on - tt.num_rows, m
 
 
 def random_valid_netlist(rng: random.Random) -> Netlist:
