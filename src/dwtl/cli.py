@@ -80,8 +80,10 @@ def _parse_spec(spec: str):
     from .textio import parse_truth_table
 
     if spec.startswith("adder:"):
-        n_bits = int(spec.split(":", 1)[1])
-        return ("adder", n_bits)
+        try:
+            return ("adder", int(spec[len("adder:"):]))
+        except ValueError:
+            raise NetlistError(f"bad spec '{spec}', expected adder:<n>") from None
     tables = {}
     for item in spec.split(","):
         if "=" not in item:
@@ -89,7 +91,10 @@ def _parse_spec(spec: str):
                 f"bad spec item '{item}', expected <output>=<n:hex>"
             )
         name, _, value = item.partition("=")
-        tables[name.strip()] = parse_truth_table(value)
+        name = name.strip()
+        if name in tables:
+            raise NetlistError(f"output '{name}' is specified more than once")
+        tables[name] = parse_truth_table(value)
     return ("tables", tables)
 
 

@@ -96,19 +96,32 @@ class SpinMinorityGate(Record):
     """Gate over +/-1 spins: output is 1 iff the weighted spin sum is positive.
 
     With all weights -1 this is the plain minority function; a weight of
-    magnitude k gives that input k times the pull of a unit input.
+    magnitude k gives that input k times the pull of a unit input. A zero spin
+    sum has no defined output, so building a gate that can tie raises
+    ``TieError`` at its lowest tie row. An odd magnitude sum never ties; an
+    even one takes a row sweep, so above 24 inputs it raises
+    ``TooManyInputsError``.
     """
 
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _check_weights(self.weights, nonzero=True)
+        # a tie row has sum(|w_j| * y_j) = sum|w_j| / 2; sum|w_j| has sum(w_j)'s parity
+        if sum(self.weights) % 2 == 0:
+            srcs, mask = _all_rows(self.fan_in)
+            half = self.weight_magnitude_sum // 2
+            ties = _weighted_at_least(self.weights, srcs, mask, half)
+            ties ^= self.eval_patterns(srcs, mask)
+            if ties:
+                tie = assignment_of((ties & -ties).bit_length() - 1, self.fan_in)
+                raise TieError(f"tie at assignment {tie}", assignment=tie)
 
     @property
     def fan_in(self) -> int:
         return len(self.weights)
 
-    @cached_property  # read by every tie check and evaluation; weights are frozen
+    @cached_property  # read by every evaluation; weights are frozen
     def weight_magnitude_sum(self) -> int:
         return sum(map(abs, self.weights))
 
@@ -116,43 +129,15 @@ class SpinMinorityGate(Record):
         """Packed output over packed input patterns: 1 where the spin sum is positive.
 
         With y_j the input, complemented where w_j < 0, the spin sum is
-        positive iff sum(|w_j| * y_j) > sum(|w_j|) / 2. A row where the gate
-        ties reads 0, so callers refuse tie-prone gates first. Every source
-        must lie within ``mask``.
+        positive iff sum(|w_j| * y_j) > sum(|w_j|) / 2; the constructor has
+        refused every gate that can tie. Every source must lie within ``mask``.
         """
         return _weighted_at_least(
             self.weights, srcs, mask, self.weight_magnitude_sum // 2 + 1
         )
 
     def truth_table(self) -> TruthTable:
-        """Table of the gate; a gate that can tie raises at its lowest tie row."""
-        ties = self.tie_assignments()
-        if ties:
-            raise TieError(f"tie at assignment {ties[0]}", assignment=ties[0])
         return TruthTable(self.fan_in, self.eval_patterns(*_all_rows(self.fan_in)))
-
-    def tie_assignments(self) -> list[tuple[int, ...]]:
-        """Assignments with zero spin sum, ascending; empty means the gate is usable.
-
-        An odd magnitude sum makes every spin sum odd, so such a gate never
-        ties, whatever its fan-in. Otherwise the ties are the rows where
-        sum(|w_j| * y_j) reaches exactly half the magnitude sum.
-        """
-        if self.weight_magnitude_sum % 2 == 1:
-            return []
-        return list(self._even_sum_ties)
-
-    @cached_property  # a row sweep read by every tie check; weights are frozen
-    def _even_sum_ties(self) -> tuple[tuple[int, ...], ...]:
-        total = self.weight_magnitude_sum
-        srcs, mask = _all_rows(self.fan_in)
-        ties = _weighted_at_least(self.weights, srcs, mask, total // 2)
-        ties ^= self.eval_patterns(srcs, mask)
-        return tuple(
-            assignment_of(i, self.fan_in)
-            for i, bit in enumerate(f"{ties:b}"[::-1])
-            if bit == "1"
-        )
 
 
 class ThresholdGate(Record):

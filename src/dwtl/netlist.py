@@ -2,9 +2,9 @@
 
 A gate may only reference primary inputs or gates defined earlier in the
 list, so a valid netlist is acyclic. Each netlist is checked once, before its
-first evaluation or cost report; the first violation raises ``NetlistError``
-or ``TieError``. The reserved input name ``one`` is a pinned constant-1 and is
-not a truth-table variable.
+first evaluation or cost report; the first violation raises ``NetlistError``.
+Its gates need no check: a gate that can tie cannot be built. The reserved
+input name ``one`` is a pinned constant-1 and is not a truth-table variable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from collections.abc import Callable, Mapping
 from functools import cached_property
 
-from .gates import SpinMinorityGate, TieError
+from .gates import SpinMinorityGate
 from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, Record, TruthTable, input_patterns
 
 TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
@@ -67,10 +67,9 @@ class Netlist(Record):
 
         ``patterns[name]`` holds input ``name`` across all vectors, one bit per
         vector. Returns one packed integer per output. The netlist's first
-        violation (``_plan``) raises before any gate runs, so a gate that can tie
-        raises ``TieError`` naming it, whether or not a vector hits the tie.
-        Each signal is dropped after its last reader unless an output reads it.
-        A name that is not a free input raises ``NetlistError``.
+        violation (``_plan``) raises before any gate runs. Each signal is
+        dropped after its last reader unless an output reads it. A name that is
+        not a free input raises ``NetlistError``.
         """
         if extra := patterns.keys() - self.free_inputs:
             raise NetlistError(f"unknown inputs: {sorted(extra)}")
@@ -120,11 +119,6 @@ class Netlist(Record):
                     kind = "forward reference" if later else "unknown reference"
                     raise NetlistError(f"gate '{name}': {kind} '{ref}'")
                 last[ref] = i
-            ties = gate.tie_assignments()
-            if ties:
-                raise TieError(
-                    f"gate '{name}': tie at assignment {ties[0]}", assignment=ties[0]
-                )
             defined.add(name)
         if not self.outputs:
             raise NetlistError("netlist has no outputs")

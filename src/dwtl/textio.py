@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .gates import SpinMinorityGate
+from .gates import SpinMinorityGate, TieError
 from .table import MAX_INPUTS, TruthTable
 
 TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
@@ -47,7 +47,7 @@ def parse_netlist(text: str) -> Netlist:
     outputs: list[OutputDef] = []
     defined: set[str] = set()
     out_names: set[str] = set()
-    # one gate object per weight tuple: validated and tie-checked once
+    # one gate object per weight tuple: built, and so tie-checked, once
     gate_of: dict[tuple[int, ...], SpinMinorityGate] = {}
 
     # columns are found only on error: str.split splits at TOKEN_RE's whitespace
@@ -113,10 +113,10 @@ def parse_netlist(text: str) -> Netlist:
                 )
             gate = gate_of.get(weights)
             if gate is None:
-                gate = gate_of[weights] = SpinMinorityGate(weights)
-                ties = gate.tie_assignments()
-                if ties:
-                    raise error(1, f"gate '{name}': tie at assignment {ties[0]}")
+                try:
+                    gate = gate_of[weights] = SpinMinorityGate(weights)
+                except TieError as exc:
+                    raise error(1, f"gate '{name}': {exc}") from None
             gates.append(GateDef(name, gate, tuple(refs)))
             defined.add(name)
 

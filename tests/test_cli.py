@@ -72,6 +72,8 @@ def test_eval(fa1, capsys):
 def test_eval_bad_input(fa1, capsys):
     assert run(["eval", str(fa1), "--set", "a0=1,b0=2,cin=1"]) == 2
     assert "error" in capsys.readouterr().err
+    assert run(["eval", str(fa1), "--set", "a0=1,b0,cin=1"]) == 2
+    assert capsys.readouterr().err == "error: bad assignment 'b0', expected name=0|1\n"
 
 
 def test_eval_refuses_repeated_input(fa1, capsys):
@@ -109,6 +111,28 @@ def test_verify_inline_spec(fa1, capsys):
     code = run(["verify", str(fa1), "--spec", "sum0=3:0xe8,cout=3:0x96"])
     assert code == 1
     assert "NOT EQUIVALENT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bits, spec, err",
+    [
+        (1, "sum0=3:0x00,sum0=3:0x96,cout=3:0xe8",
+         "output 'sum0' is specified more than once"),
+        (1, "adder:x", "bad spec 'adder:x', expected adder:<n>"),
+        (1, "adder:", "bad spec 'adder:', expected adder:<n>"),
+        (1, "adder:2", "netlist inputs ['a0', 'b0', 'cin'] do not match "
+         "adder:2 inputs ['a0', 'a1', 'b0', 'b1', 'cin']"),
+        (12, "sum0=3:0x96", "inline truth-table specs need <= 24 inputs; netlist has 25"),
+    ],
+)
+def test_verify_refuses_bad_spec(tmp_path, capsys, bits, spec, err):
+    path = tmp_path / "adder.dwtl"
+    assert run(["gen", "adder", "--bits", str(bits), "--style", "weighted",
+                "-o", str(path)]) == 0
+    assert run(["verify", str(path), "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
 
 
 def test_verify_wide_adder_states_sampling(tmp_path, capsys):

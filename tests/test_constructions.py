@@ -23,6 +23,7 @@ from dwtl.constructions import (
     ripple_adder,
     weighted_sum_gate,
 )
+from dwtl.table import assignment_of
 from tests_util import spin_eval
 
 
@@ -90,6 +91,18 @@ def test_adder_spec_tables_refuses_25_inputs_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_adder_refuses_bit_counts_and_input_orders_out_of_range():
+    for n_bits in (0, 65):
+        with pytest.raises(ValueError, match=f"^n_bits must be in 1..64, got {n_bits}$"):
+            adder_spec_tables(n_bits)
+        with pytest.raises(ValueError, match=f"got {n_bits}$"):
+            ripple_adder(n_bits)
+    with pytest.raises(ValueError, match="does not cover the adder inputs"):
+        adder_spec_tables(1, ("a0", "b0", "c"))
+    with pytest.raises(ValueError, match="does not cover the adder inputs"):
+        adder_spec_tables(1, ("a0", "b0"))
+
+
 def test_ripple_gate_counts():
     assert ripple_adder(3).gate_count == 6
     assert ripple_adder(1).gate_count == 2
@@ -129,7 +142,8 @@ def test_all_generated_gates_tie_free():
     for net in (minority_adder(4), ripple_adder(4), nand_adder(2)):
         for g in net.gates:
             assert g.gate.weight_magnitude_sum % 2 == 1
-            assert g.gate.tie_assignments() == []
+            for i in range(1 << g.gate.fan_in):  # spin_eval raises on a tie
+                spin_eval(g.gate.weights, assignment_of(i, g.gate.fan_in))
 
 
 def test_nand_adder_equivalent():

@@ -5,7 +5,7 @@ import pytest
 from dwtl import SpinMinorityGate, ThresholdGate, TieError, TooManyInputsError
 from dwtl.gates import _weighted_at_least
 from dwtl.table import assignment_of
-from tests_util import negated, spin_eval, threshold_eval, to_threshold
+from tests_util import negated, spin_eval, spin_sums, threshold_eval, to_threshold
 
 
 MIN3 = SpinMinorityGate((-1, -1, -1))
@@ -33,7 +33,11 @@ def test_tie_raises():
     with pytest.raises(TieError) as exc:
         spin_eval((-1, -1), (0, 1))
     assert exc.value.assignment == (0, 1)
-    assert (0, 1) in SpinMinorityGate((-1, -1)).tie_assignments()
+    # the gate itself cannot be built: it raises at its lowest tie row
+    with pytest.raises(TieError) as exc:
+        SpinMinorityGate((-1, -1))
+    assert exc.value.assignment == (1, 0)
+    assert str(exc.value) == "tie at assignment (1, 0)"
 
 
 def test_zero_weight_rejected():
@@ -70,12 +74,6 @@ def test_single_negative_weight_is_not():
     assert SpinMinorityGate((-1,)).truth_table().bits == 0b01
 
 
-def test_truth_table_reports_tie():
-    with pytest.raises(TieError) as exc:
-        SpinMinorityGate((-1, -1)).truth_table()
-    assert exc.value.assignment == (1, 0)
-
-
 def test_to_threshold_min3():
     t = to_threshold(MIN3)
     assert t.weights == (-2, -2, -2)
@@ -108,9 +106,19 @@ def test_complement_weighted_tables():
 
 
 def test_tie_assignments():
-    assert MIN3.tie_assignments() == []
-    assert SpinMinorityGate((-1, -1)).tie_assignments() == [(1, 0), (0, 1)]
-    assert SpinMinorityGate((-1, -1, -1, -2)).tie_assignments() == []
+    # odd magnitude sums never tie; an even sum ties where half of it is reached
+    assert SpinMinorityGate((-1, -1, -1, -2)).weight_magnitude_sum == 5
+    even = SpinMinorityGate((2, -2, 2))  # every partial sum is even, half is 3
+    assert even.truth_table() == SpinMinorityGate((1, -1, 1)).truth_table()
+    for weights, tie in (
+        ((-1, -1), (1, 0)),
+        ((1, 1, 2, 2), (1, 0, 1, 0)),
+        ((3, -1, -2), (0, 0, 0)),
+        ((2, -2, 4), (1, 0, 0)),
+    ):
+        with pytest.raises(TieError) as exc:
+            SpinMinorityGate(weights)
+        assert exc.value.assignment == tie
 
 
 def test_spin_threshold_agreement_random():
@@ -136,7 +144,8 @@ def test_parity_tie_freedom_random():
             for j in range(fan_in)
         )
         if sum(abs(w) for w in weights) % 2 == 1:
-            assert SpinMinorityGate(weights).tie_assignments() == []
+            assert 0 not in spin_sums(weights)
+            assert SpinMinorityGate(weights).fan_in == fan_in
 
 
 def test_complement_involution_random():
@@ -173,7 +182,9 @@ def test_threshold_gate_eval():
 
 
 def test_tables_and_ties_match_direct_sums_random():
-    # the packed weighted-sum kernel against the per-vector oracles and a direct scan
+    # the packed weighted-sum kernel against the per-vector oracles and a direct
+    # scan: a gate raises TieError exactly when some row's spin sum is zero, at
+    # the lowest such row
     rng = random.Random(19)
     magnitudes = [1, 2, 3, 5, 8, 1 << 40]
     tie_prone = 0
@@ -183,19 +194,16 @@ def test_tables_and_ties_match_direct_sums_random():
         weights = tuple(
             rng.choice((-1, 1)) * rng.choice(magnitudes) for _ in range(n)
         )
-        gate = SpinMinorityGate(weights)
-        spin_sums = [
-            sum(w * (2 * b - 1) for w, b in zip(weights, x)) for x in rows
-        ]
-        ties = [x for x, s in zip(rows, spin_sums) if s == 0]
-        assert gate.tie_assignments() == ties
+        sums = [sum(w * (2 * b - 1) for w, b in zip(weights, x)) for x in rows]
+        ties = [x for x, s in zip(rows, sums) if s == 0]
         if ties:
             tie_prone += 1
             with pytest.raises(TieError) as exc:
-                gate.truth_table()
+                SpinMinorityGate(weights)
             assert exc.value.assignment == ties[0]
+            assert str(exc.value) == f"tie at assignment {ties[0]}"
         else:
-            tt = gate.truth_table()
+            tt = SpinMinorityGate(weights).truth_table()
             assert [tt.bit(i) for i in range(1 << n)] == [
                 spin_eval(weights, x) for x in rows
             ]
@@ -259,7 +267,7 @@ def test_weighted_at_least_matches_row_sums_on_wide_operands():
 def test_sweeps_above_the_ceiling_refused():
     with pytest.raises(TooManyInputsError):
         ThresholdGate((1,) * 25, 1).truth_table()
-    # an even magnitude sum needs the row sweep to rule out ties
+    # an even magnitude sum needs the row sweep to rule out ties, an odd one none
     with pytest.raises(TooManyInputsError):
-        SpinMinorityGate((1,) * 26).tie_assignments()
-    assert SpinMinorityGate((1,) * 25).tie_assignments() == []
+        SpinMinorityGate((1,) * 26)
+    assert SpinMinorityGate((1,) * 25).fan_in == 25

@@ -11,6 +11,7 @@ from dwtl import (
     Netlist,
     NetlistError,
     OutputDef,
+    ParseError,
     SpinMinorityGate,
     TieError,
     TruthTable,
@@ -68,16 +69,15 @@ def test_forward_reference_reported():
 
 
 def test_tie_prone_gate_reported():
-    net = Netlist(
-        inputs=("a", "b"),
-        gates=(GateDef("g", SpinMinorityGate((-1, -1)), ("a", "b")),),
-        outputs=(OutputDef("y", "g"),),
-    )
-    with pytest.raises(TieError, match="gate 'g': tie at assignment") as exc:
-        net.truth_tables()
+    # a gate that can tie raises when it is built, before a netlist holds it,
+    # so no netlist check looks for ties: an even-sum gate that cannot tie
+    # (every partial sum of (-2, -2, -2) is even, half of 6 is odd) just works
+    with pytest.raises(TieError, match=r"^tie at assignment \(1, 0\)$") as exc:
+        SpinMinorityGate((-1, -1))
     assert exc.value.assignment == (1, 0)
-    with pytest.raises(TieError, match="gate 'g': tie at assignment"):
-        cost_report(net, 2)
+    net = single_gate_net(SpinMinorityGate((-2, -2, -2)), 3)
+    assert net.truth_tables()["y"] == MIN3.truth_table()
+    assert cost_report(net, 2).gate_count == 1
 
 
 def test_duplicate_and_dangling():
@@ -253,25 +253,17 @@ def test_evaluate_refuses_values_other_than_0_and_1(value):
 
 
 def test_evaluate_tie_names_gate():
-    net = Netlist(
-        inputs=("a", "b"),
-        gates=(GateDef("gx", SpinMinorityGate((-1, -1)), ("a", "b")),),
-        outputs=(OutputDef("y", "gx"),),
-    )
-    with pytest.raises(TieError) as exc:
-        net.evaluate({"a": 0, "b": 1})
-    assert "gx" in str(exc.value)
+    # a gate built in code has no name yet; the parser names the one it builds
+    tie = r"^line 3, col 6: gate 'gx': tie at assignment \(1, 0\)$"
+    with pytest.raises(ParseError, match=tie):
+        parse_netlist("input a\ninput b\ngate gx w=-1:a w=-1:b\noutput y = gx\n")
 
 
 def test_evaluate_refuses_tie_prone_gate_off_the_tie():
     # wired to (a, a) the spin sum is never zero, but the gate can tie
-    net = Netlist(
-        inputs=("a",),
-        gates=(GateDef("gx", SpinMinorityGate((-1, -1)), ("a", "a")),),
-        outputs=(OutputDef("y", "gx"),),
-    )
-    with pytest.raises(TieError, match="gx"):
-        net.evaluate({"a": 1})
+    tie = r"^line 2, col 6: gate 'gx': tie at assignment \(1, 0\)$"
+    with pytest.raises(ParseError, match=tie):
+        parse_netlist("input a\ngate gx w=-1:a w=-1:a\noutput y = gx\n")
 
 
 def test_ref_count_mismatch_names_gate():
@@ -293,10 +285,11 @@ def test_packed_evaluation_matches_gate_eval():
     checked = 0
     while checked < 100:
         n = rng.randint(1, 6)
-        gate = SpinMinorityGate(
-            tuple(rng.choice((-1, 1)) * rng.choice(magnitudes) for _ in range(n))
-        )
-        if gate.tie_assignments():
+        try:
+            gate = SpinMinorityGate(
+                tuple(rng.choice((-1, 1)) * rng.choice(magnitudes) for _ in range(n))
+            )
+        except TieError:
             continue
         net = single_gate_net(gate, n)
         patterns = {name: rng.getrandbits(64) for name in net.inputs}
@@ -320,13 +313,23 @@ def test_wide_even_weight_gate_checked_without_row_list():
     # sum|w| = 48 is even, so only the full tie check shows the gate is
     # tie-free (the sum of |w_j| y_j is at most 23 or at least 25, never 24)
     gate = SpinMinorityGate((-1,) * 23 + (25,))
-    assert gate.tie_assignments() == []
     text = "".join(f"input x{j}\n" for j in range(24))
     text += "gate g " + " ".join(f"w={w}:x{j}" for j, w in enumerate(gate.weights))
     text += "\noutput y = g\n"
     net = parse_netlist(text)
     x = {f"x{j}": j % 2 for j in range(24)}
     assert net.evaluate(x) == {"y": spin_eval(gate.weights, list(x.values()))}
+    # 24 unit weights tie on C(24, 12) = 2.7 M rows; only the lowest is decoded
+    tracemalloc.start()
+    try:
+        with pytest.raises(TieError) as exc:
+            SpinMinorityGate((1,) * 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.assignment == (1,) * 12 + (0,) * 12
+    # 24 input patterns of 2 MB each, plus the digits of the sum
+    assert peak < 200_000_000
 
 
 def test_tie_check_sweeps_each_gate_once(monkeypatch):
@@ -335,7 +338,7 @@ def test_tie_check_sweeps_each_gate_once(monkeypatch):
     monkeypatch.setattr(
         dwtl.gates, "_all_rows", lambda n: sweeps.append(n) or all_rows(n)
     )
-    # sum|w| = 8 is even for both gates, so each tie check sweeps every row
+    # sum|w| = 8 is even for both gates, so building each sweeps every row
     net = parse_netlist(
         "input a\ninput b\ninput c\ninput d\n"
         "gate g w=1:a w=1:b w=1:c w=5:d\n"
@@ -348,12 +351,12 @@ def test_tie_check_sweeps_each_gate_once(monkeypatch):
     assert net.truth_tables()["y"].bit(5) == 0
     assert cost_report(net, 2).depth == 2
     assert sweeps == [4, 4]
-    # built in code, with new gate objects: swept at first use, and once
+    # built in code, with new gate objects: swept when built, never at use
     fresh = tuple(
         GateDef(g.name, SpinMinorityGate(g.gate.weights), g.refs) for g in net.gates
     )
+    assert sweeps == [4, 4, 4, 4]
     built = Netlist(net.inputs, fresh, net.outputs)
-    assert sweeps == [4, 4]
     assert built.evaluate(x) == {"y": 0}
     assert built.truth_tables() == net.truth_tables()
     assert cost_report(built, 2) == cost_report(net, 2)
@@ -425,6 +428,9 @@ def test_truth_tables_passthrough():
         inputs=("x0",), gates=(), outputs=(OutputDef("y", "x0"),)
     )
     assert net.truth_tables()["y"].bits == 0b10
+    pinned = Netlist(inputs=("one",), gates=(), outputs=(OutputDef("y", "one"),))
+    with pytest.raises(NetlistError, match="^netlist has no free inputs$"):
+        pinned.truth_tables()
 
 
 def test_output_invert_complements_table():
@@ -453,8 +459,18 @@ def test_equivalence_reflexive():
 
 
 def test_equivalence_name_mismatch():
+    fa = minority_full_adder()
     with pytest.raises(NetlistError):
-        check_equivalence(minority_full_adder(), {"nope": TruthTable(3, 0)})
+        check_equivalence(fa, {"nope": TruthTable(3, 0)})
+    narrow = {"sum0": TruthTable(2, 0b0110), "cout": TruthTable(3, 0xE8)}
+    with pytest.raises(
+        NetlistError, match="^spec table for 'sum0' has 2 inputs, netlist has 3$"
+    ):
+        check_equivalence(fa, narrow)
+    with pytest.raises(
+        NetlistError, match="^reference output names do not match netlist outputs$"
+    ):
+        check_equivalence_sampled(fa, lambda patterns, width: {"sum0": 0}, num_vectors=4)
 
 
 def test_truth_tables_match_pointwise_evaluate():
@@ -555,6 +571,8 @@ def test_cost_report_zero_reduction():
     rep = cost_report(net, net.gate_count)
     assert rep.reduction_percent == 0
     assert rep.reduction_one_decimal() == "0.0"
+    with pytest.raises(NetlistError, match="^baseline_count must be >= 1$"):
+        cost_report(net, 0)
 
 
 def test_cost_report_bounds():

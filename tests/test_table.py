@@ -75,7 +75,7 @@ def test_records_of_different_classes_never_compare_equal():
 def test_equal_records_hash_equal():
     assert hash(Pair(1, 2)) == hash(Pair(left=1, right=2))
     assert hash(TruthTable(3, 0xE8)) == hash(TruthTable(3, 0xE8))
-    assert hash(SpinMinorityGate((1, -2, 3))) == hash(SpinMinorityGate((1, -2, 3)))
+    assert hash(SpinMinorityGate((1, -2, 4))) == hash(SpinMinorityGate((1, -2, 4)))
     assert len({TruthTable(2, 8), TruthTable(2, 8), TruthTable(2, 6)}) == 2
 
 
@@ -95,10 +95,10 @@ def test_post_init_still_rejects_bad_input():
 
 
 def test_cached_property_still_works():
-    gate = SpinMinorityGate((1, -2, 3, 2))
-    assert gate.weight_magnitude_sum == 8
-    assert vars(gate)["weight_magnitude_sum"] == 8
-    assert gate.tie_assignments() and "_even_sum_ties" in vars(gate)
+    # an even magnitude sum: the constructor's tie check reads and caches it
+    gate = SpinMinorityGate((2, -2, 4, 2))
+    assert vars(gate)["weight_magnitude_sum"] == 10
+    assert gate.weight_magnitude_sum == 10
     net = parse_netlist(print_netlist(ripple_adder(2)))
     plan = net._plan
     assert len(plan) == net.gate_count and net._plan is plan
@@ -114,7 +114,7 @@ def test_cached_property_still_works():
 
 
 def test_copy_and_pickle_round_trip_give_equal_records():
-    gate = SpinMinorityGate((1, -2, 3))
+    gate = SpinMinorityGate((1, -2, 4))
     gate.weight_magnitude_sum  # a cached value travels with the record
     records = [
         Pair(1), TruthTable(3, 0xE8), gate, ThresholdGate((2, 1), 2),
@@ -125,4 +125,4 @@ def test_copy_and_pickle_round_trip_give_equal_records():
         for twin in (copy.copy(rec), pickle.loads(pickle.dumps(rec))):
             assert twin == rec and hash(twin) == hash(rec) and type(twin) is type(rec)
             assert repr(twin) == repr(rec)
-    assert pickle.loads(pickle.dumps(gate)).weight_magnitude_sum == 6
+    assert pickle.loads(pickle.dumps(gate)).weight_magnitude_sum == 7

@@ -101,6 +101,17 @@ def test_error_column_is_the_offending_token():
         # tabs are one column each; the comment's tokens are not read
         ("input\ta\ngate\tg\tw=-1:a\tw=1:q\n", (2, 19), "unknown reference 'q'"),
         ("input a\ngate g min a a #b\n", (2, 8), "exactly 3 refs"),
+        # every other refusal, at its token
+        ("  input a b\n", (1, 3), "expected: input <name>"),
+        ("input ab-\n", (1, 7), "invalid name 'ab-'"),
+        ("input a\n gate g\n", (2, 2), "expected: gate <name> ..."),
+        ("input a\ngate 9g min a a a\n", (2, 6), "invalid name '9g'"),
+        ("input g\ngate g min g g g\n", (2, 6), "duplicate name 'g'"),
+        ("input a\n output y a\n", (2, 2), "expected: output <name> = [!]<ref>"),
+        ("input a\noutput 1y = a\n", (2, 8), "invalid name '1y'"),
+        ("input a\noutput a = a\noutput a = !a\n", (3, 8), "duplicate output name 'a'"),
+        ("input a\noutput y = !-a\n", (2, 12), "invalid reference '-a'"),
+        ("input a\n  wire w a\n", (2, 3), "unknown statement 'wire'"),
     ]
     for text, position, reason in cases:
         with pytest.raises(ParseError) as exc:
@@ -150,6 +161,11 @@ def test_parse_truth_table_examples():
         parse_truth_table("2:0x100")
     with pytest.raises(ParseError):
         parse_truth_table("junk")
+    for n in (0, 25):
+        with pytest.raises(ParseError) as exc:
+            parse_truth_table(f"{n}:0x0")
+        assert exc.value.reason == f"input count {n} out of range 1..24"
+        assert (exc.value.line, exc.value.column) == (1, 1)
 
 
 def test_format_truth_table_roundtrip():

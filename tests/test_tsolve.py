@@ -686,6 +686,9 @@ def test_lexmin_gives_up_past_its_ceiling():
 def test_enumerate_five_inputs():
     enum = enumerate_threshold_functions(5)
     assert ENUMERATE_MAX_INPUTS == 5
+    for n in (0, 6):
+        with pytest.raises(ValueError, match=f"supports 1..5, got {n}$"):
+            enumerate_threshold_functions(n)
     assert enum.count == len(enum.tables) == 94_572  # OEIS A000609
     inside = set(enum.tables)
     for j in range(5):

@@ -21,6 +21,14 @@ def spin_eval(weights, x):
     return int(acc > 0)
 
 
+def spin_sums(weights):
+    """Every value the weighted spin sum of ``weights`` takes over all rows."""
+    sums = {0}
+    for w in weights:
+        sums = {s + d for s in sums for d in (w, -w)}
+    return sums
+
+
 def threshold_eval(weights, threshold, x):
     """1 if sum(w_i * x_i) >= threshold over bits ``x``, else 0."""
     assert len(x) == len(weights), (weights, x)
