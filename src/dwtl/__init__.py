@@ -21,7 +21,7 @@ _HOME = {
             "parse_truth_table", "print_netlist",
         ),
         "tsolve": (
-            "NotThreshold", "NotThresholdError", "NotUnate", "ThresholdRealization",
+            "NotThreshold", "NotUnate", "ThresholdRealization",
             "Unateness", "enumerate_threshold_functions", "is_unate",
             "minimize_weights", "solve_threshold", "threshold_tables_by_search",
         ),

@@ -77,7 +77,7 @@ def _cmd_tt(args) -> int:
 def _parse_spec(spec: str):
     """Returns either ('adder', n_bits) or ('tables', {name: TruthTable})."""
     from .netlist import NetlistError
-    from .textio import parse_truth_table
+    from .textio import ParseError, parse_truth_table
 
     if spec.startswith("adder:"):
         try:
@@ -85,7 +85,9 @@ def _parse_spec(spec: str):
         except ValueError:
             raise NetlistError(f"bad spec '{spec}', expected adder:<n>") from None
     tables = {}
+    end = -1  # index of the comma after the item, or len(spec)
     for item in spec.split(","):
+        end += 1 + len(item)
         if "=" not in item:
             raise NetlistError(
                 f"bad spec item '{item}', expected <output>=<n:hex>"
@@ -94,7 +96,11 @@ def _parse_spec(spec: str):
         name = name.strip()
         if name in tables:
             raise NetlistError(f"output '{name}' is specified more than once")
-        tables[name] = parse_truth_table(value)
+        try:
+            tables[name] = parse_truth_table(value)
+        except ParseError as exc:  # the column within ``spec``, and the output
+            column = end - len(value) + exc.column
+            raise ParseError(1, column, f"output '{name}': {exc.reason}") from None
     return ("tables", tables)
 
 
@@ -168,13 +174,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     from .textio import parse_truth_table
-    from .tsolve import NotThreshold, NotThresholdError, minimize_weights, solve_threshold
+    from .tsolve import NotThreshold, minimize_weights, solve_threshold
 
     tt = parse_truth_table(args.tt)
-    try:
-        result = minimize_weights(tt) if args.minimize else solve_threshold(tt)
-    except NotThresholdError as exc:
-        result = exc.certificate
+    result = minimize_weights(tt) if args.minimize else solve_threshold(tt)
     if isinstance(result, NotThreshold):
         _emit(
             args,
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="gate-count and reduction report")
     p.add_argument("netlist")
     p.add_argument("--baseline", type=int, default=15,
-                   help="baseline device count (default 15 per adder bit)")
+                   help="baseline device count (default 15, for a 1-bit adder)")
     add_format(p)
     p.set_defaults(func=_cmd_report)
 

@@ -82,11 +82,6 @@ def minority_adder(n_bits: int) -> Netlist:
     return _ripple(n_bits, sum_cell)
 
 
-def minority_full_adder() -> Netlist:
-    """One-bit full adder from three plain-weight minority gates."""
-    return minority_adder(1)
-
-
 def ripple_adder(n_bits: int) -> Netlist:
     """Ripple adder with two gates per bit using the double-weight sum gate."""
 
@@ -133,10 +128,6 @@ def nand_adder(n_bits: int) -> Netlist:
         carry = t9
     outputs.append(OutputDef("cout", carry))
     return Netlist(tuple(inputs), tuple(gates), tuple(outputs))
-
-
-def nand_full_adder() -> Netlist:
-    return nand_adder(1)
 
 
 def adder_spec_tables(

@@ -132,9 +132,9 @@ def parse_netlist(text: str) -> Netlist:
             invert = target.startswith("!")
             ref = target[1:] if invert else target
             if not NAME_RE.match(ref):
-                raise error(3, f"invalid reference '{ref}'")
+                raise error(3, f"invalid reference '{ref}'", invert)
             if ref not in defined:
-                raise error(3, f"unknown reference '{ref}'")
+                raise error(3, f"unknown reference '{ref}'", invert)
             outputs.append(OutputDef(name, ref, invert))
             out_names.add(name)
 

@@ -33,17 +33,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class NotThresholdError(ValueError):
-    """Raised when an operation requires a threshold function and got none.
-
-    ``certificate`` is the LP's proof that the table is not threshold.
-    """
-
-    def __init__(self, certificate: NotThreshold):
-        super().__init__("function is not a threshold function")
-        self.certificate = certificate
-
-
 class Unateness(Record):
     """Per-variable polarity: '+' nondecreasing, '-' nonincreasing, '0' independent."""
 
@@ -264,7 +253,7 @@ def _solve(
     tt: TruthTable, unate: Unateness | NotUnate, minimize: bool = False
 ) -> ThresholdRealization | NotThreshold:
     """``solve_threshold`` given the table's unateness, or with ``minimize``,
-    ``minimize_weights`` without its NotThresholdError.
+    ``minimize_weights``.
 
     A unate table is solved in its positive form: each '-' variable is
     flipped, each '0' variable gets weight 0, and the weights u of the live
@@ -347,16 +336,13 @@ def solve_threshold(tt: TruthTable) -> ThresholdRealization | NotThreshold:
     return _solve(tt, _unateness(tt, "solve_threshold"))
 
 
-def minimize_weights(tt: TruthTable) -> ThresholdRealization:
+def minimize_weights(tt: TruthTable) -> ThresholdRealization | NotThreshold:
     """Realization with minimal total |w|, ties broken lexicographically,
-    from the LP's phase 2 (``_solve``); a non-threshold table raises
-    NotThresholdError. '0' variables get weight 0; a constant table gets
-    zero weights and T = 1 (for 0) or -n (for 1).
+    from the LP's phase 2 (``_solve``), or proof that none exists. '0'
+    variables get weight 0; a constant table gets zero weights and T = 1
+    (for 0) or -n (for 1).
     """
-    res = _solve(tt, _unateness(tt, "minimize_weights"), minimize=True)
-    if isinstance(res, NotThreshold):
-        raise NotThresholdError(res)
-    return res
+    return _solve(tt, _unateness(tt, "minimize_weights"), minimize=True)
 
 
 def _unateness(tt: TruthTable, caller: str) -> Unateness | NotUnate:
@@ -374,43 +360,41 @@ class ThresholdEnumeration(Record):
 
 
 def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
-    """Classify every n-input function through the monotone functions, n <= 5.
+    """Classify every n-input function through the ordered-regular functions, n <= 5.
 
-    Every threshold function is unate, and flipping its '-' variables gives
-    a positive threshold function, which is monotone. So the monotone
-    functions are built bottom-up, as f0 | f1 << 2^k with f0 a subset of f1
-    (7,581 at n = 5, the Dedekind number). Permuting variables permutes
-    weights, so one exact LP decides each permutation class (210 at n = 5),
-    and every member of a threshold class is expanded into its flips over
-    its essential variables (Muroga, *Threshold Logic and Its Applications*,
-    1971). Distinct flips give distinct polarities, so the union is
-    disjoint. Every positive answer still comes from the exact LP.
+    Flipping the '-' variables of a threshold function gives a positive one,
+    and with x_0 >= x_1 >= ... in weight that is regular: trading x_j = 1 for
+    x_i = 1, i < j, keeps a true row true. Each permutation class of positive
+    threshold functions has exactly one such member (Muroga 1971; Peled and
+    Simeone, *Discrete Applied Math.* 12, 1985). One exact LP decides each
+    (119 at n = 5); a threshold one is closed under adjacent swaps into its
+    class, and each member expanded into its flips over its essential
+    variables, a disjoint union since distinct flips give distinct polarities.
     """
     if not 1 <= n <= ENUMERATE_MAX_INPUTS:
         raise ValueError(
             f"enumerate_threshold_functions supports 1..{ENUMERATE_MAX_INPUTS}, got {n}"
         )
-    monotone = [0, 1]  # the 0-input functions
+    regular = [0, 1]  # the 0-input functions
     for k in range(n):
-        shift = 1 << k
-        monotone = [
-            f0 | f1 << shift for f1 in monotone for f0 in monotone if not f0 & ~f1
+        # f = f0 | f1 << 2^k: f0 within f1 keeps f monotone in x_k, and each
+        # true row of f1 with x_{k-1} = 0, traded for x_{k-1} = 1, is in f0
+        low, half = (~input_pattern(k - 1, k), 1 << (k - 1)) if k else (0, 0)
+        regular = [
+            f0 | f1 << (1 << k) for f1 in regular for f0 in regular
+            if not f0 & ~f1 and not (f1 & low) << half & ~f0
         ]
     patterns = input_patterns(n)
     swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
-    decided: set[int] = set()
     tables: list[int] = []
-    for f in monotone:
-        if f in decided:
-            continue
-        orbit, new = [], {f}
-        while new:  # breadth first: the closure of {f} under adjacent swaps
-            decided |= new
-            orbit += new
-            new = {_delta_swap(g, m, s) for g in new for m, s in swaps} - decided
+    for f in regular:
         tt = TruthTable(n, f)
         if isinstance(_solve(tt, is_unate(tt)), NotThreshold):
             continue
+        orbit, new = {f}, {f}
+        while new:  # breadth first: the closure of {f} under adjacent swaps
+            new = {_delta_swap(g, m, s) for g in new for m, s in swaps} - orbit
+            orbit |= new
         for g in orbit:
             flips = [g]
             for j, pattern in enumerate(patterns):

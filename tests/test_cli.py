@@ -123,6 +123,11 @@ def test_verify_inline_spec(fa1, capsys):
         (1, "adder:2", "netlist inputs ['a0', 'b0', 'cin'] do not match "
          "adder:2 inputs ['a0', 'a1', 'b0', 'b1', 'cin']"),
         (12, "sum0=3:0x96", "inline truth-table specs need <= 24 inputs; netlist has 25"),
+        # a table's column counts from the start of the --spec argument
+        (1, "sum0=3:0x96,cout=3:0x1ff",
+         "line 1, col 22: output 'cout': table value out of range for n=3"),
+        (1, "sum0=3:0x96,cout=3:zz",
+         "line 1, col 18: output 'cout': expected <n>:<hex>, got '3:zz'"),
     ],
 )
 def test_verify_refuses_bad_spec(tmp_path, capsys, bits, spec, err):

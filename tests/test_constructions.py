@@ -17,9 +17,7 @@ from dwtl.constructions import (
     adder_reference_patterns,
     adder_spec_tables,
     minority_adder,
-    minority_full_adder,
     nand_adder,
-    nand_full_adder,
     ripple_adder,
     weighted_sum_gate,
 )
@@ -28,7 +26,7 @@ from tests_util import spin_eval
 
 
 def test_minority_full_adder_shape():
-    fa = minority_full_adder()
+    fa = minority_adder(1)
     assert fa.gate_count == 3
     for g in fa.gates:
         assert g.gate.fan_in == 3
@@ -36,12 +34,12 @@ def test_minority_full_adder_shape():
 
 
 def test_minority_full_adder_all_ones():
-    out = minority_full_adder().evaluate({"a0": 1, "b0": 1, "cin": 1})
+    out = minority_adder(1).evaluate({"a0": 1, "b0": 1, "cin": 1})
     assert out == {"sum0": 1, "cout": 1}
 
 
 def test_minority_full_adder_tables():
-    tts = minority_full_adder().truth_tables()
+    tts = minority_adder(1).truth_tables()
     assert tts["sum0"].bits == 0x96
     assert tts["cout"].bits == 0xE8
 
@@ -134,7 +132,7 @@ def test_minority_style_multi_bit():
 
 def test_minority_equals_ripple_one_bit_tables():
     assert (
-        minority_full_adder().truth_tables() == ripple_adder(1).truth_tables()
+        minority_adder(1).truth_tables() == ripple_adder(1).truth_tables()
     )
 
 
@@ -147,17 +145,17 @@ def test_all_generated_gates_tie_free():
 
 
 def test_nand_adder_equivalent():
-    assert check_equivalence(nand_full_adder(), adder_spec_tables(1)).equivalent
+    assert check_equivalence(nand_adder(1), adder_spec_tables(1)).equivalent
     assert check_equivalence(nand_adder(2), adder_spec_tables(2)).equivalent
 
 
 def test_nand_adder_gate_count():
     # classical 9-NAND construction; the paper-claim report still uses 15
-    assert nand_full_adder().gate_count == 9
+    assert nand_adder(1).gate_count == 9
 
 
 def test_reduction_claims():
-    assert cost_report(minority_full_adder(), 15).reduction_one_decimal() == "80.0"
+    assert cost_report(minority_adder(1), 15).reduction_one_decimal() == "80.0"
     rep = cost_report(ripple_adder(3), 45)
     assert rep.reduction_one_decimal() == "86.7"
     assert rep.reduction_rounded() == 87

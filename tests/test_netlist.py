@@ -23,7 +23,7 @@ from dwtl import (
 from dwtl.constructions import (
     adder_reference_patterns,
     adder_spec_tables,
-    minority_full_adder,
+    minority_adder,
     nand_adder,
     ripple_adder,
 )
@@ -43,7 +43,7 @@ def single_gate_net(gate, n_inputs):
 
 def test_adder_validates():
     # the check runs at first use, passes, and is kept for every later use
-    net = minority_full_adder()
+    net = minority_adder(1)
     assert net.evaluate({"a0": 1, "b0": 1, "cin": 0}) == {"sum0": 0, "cout": 1}
     assert "_plan" in vars(net)
     assert net.truth_tables()["cout"].bits == 0xE8
@@ -207,7 +207,7 @@ def test_mutated_random_netlists_raise():
 
 
 def test_evaluate_adder_vectors():
-    fa = minority_full_adder()
+    fa = minority_adder(1)
     assert fa.evaluate({"a0": 1, "b0": 0, "cin": 1}) == {"sum0": 0, "cout": 1}
     assert fa.evaluate({"a0": 0, "b0": 0, "cin": 0}) == {"sum0": 0, "cout": 0}
 
@@ -222,18 +222,18 @@ def test_evaluate_ripple_three_bits():
 
 def test_evaluate_missing_input():
     with pytest.raises(NetlistError, match="missing value for input 'b0'"):
-        minority_full_adder().evaluate({"a0": 1})
+        minority_adder(1).evaluate({"a0": 1})
 
 
 def test_evaluate_patterns_names_a_missing_input():
     with pytest.raises(NetlistError, match="missing value for input 'b0'"):
-        minority_full_adder().evaluate_patterns({"a0": 1}, 1)
+        minority_adder(1).evaluate_patterns({"a0": 1}, 1)
     with pytest.raises(NetlistError, match="missing value for input 'cin'"):
-        minority_full_adder().evaluate_patterns({"a0": 0b01, "b0": 0b10}, 2)
+        minority_adder(1).evaluate_patterns({"a0": 0b01, "b0": 0b10}, 2)
 
 
 def test_evaluate_refuses_unknown_inputs():
-    fa = minority_full_adder()
+    fa = minority_adder(1)
     with pytest.raises(NetlistError, match=r"^unknown inputs: \['zz'\]$"):
         fa.evaluate({"a0": 1, "b0": 1, "cin": 0, "zz": 1})
     # the pinned constant is not a free input; the names come sorted
@@ -246,7 +246,7 @@ def test_evaluate_refuses_unknown_inputs():
 
 @pytest.mark.parametrize("value", [2, 3, -1])
 def test_evaluate_refuses_values_other_than_0_and_1(value):
-    fa = minority_full_adder()
+    fa = minority_adder(1)
     with pytest.raises(NetlistError, match="input 'b0' must be 0 or 1"):
         fa.evaluate({"a0": 1, "b0": value, "cin": 0})
     assert fa.evaluate({"a0": True, "b0": 0, "cin": 1}) == {"sum0": 0, "cout": 1}
@@ -413,7 +413,7 @@ def test_evaluation_holds_only_live_signals():
 
 
 def test_truth_tables_adder():
-    tts = minority_full_adder().truth_tables()
+    tts = minority_adder(1).truth_tables()
     assert tts["sum0"].bits == 0x96
     assert tts["cout"].bits == 0xE8
 
@@ -440,14 +440,14 @@ def test_output_invert_complements_table():
 
 
 def test_equivalence_adder_spec():
-    res = check_equivalence(minority_full_adder(), adder_spec_tables(1))
+    res = check_equivalence(minority_adder(1), adder_spec_tables(1))
     assert res.equivalent and res.mode == "exhaustive" and res.vectors_checked == 8
 
 
 def test_equivalence_swapped_spec_counterexample():
     spec = adder_spec_tables(1)
     swapped = {"sum0": spec["cout"], "cout": spec["sum0"]}
-    res = check_equivalence(minority_full_adder(), swapped)
+    res = check_equivalence(minority_adder(1), swapped)
     assert not res.equivalent
     # first disagreeing row: index 1 (a0=1, b0=0, cin=0), XOR=1 vs MAJ=0
     assert res.counterexample.assignment == {"a0": 1, "b0": 0, "cin": 0}
@@ -459,7 +459,7 @@ def test_equivalence_reflexive():
 
 
 def test_equivalence_name_mismatch():
-    fa = minority_full_adder()
+    fa = minority_adder(1)
     with pytest.raises(NetlistError):
         check_equivalence(fa, {"nope": TruthTable(3, 0)})
     narrow = {"sum0": TruthTable(2, 0b0110), "cout": TruthTable(3, 0xE8)}
@@ -547,7 +547,7 @@ def test_sampled_equivalence_refuses_negative_seed():
 
 
 def test_cost_report_fig1():
-    rep = cost_report(minority_full_adder(), 15)
+    rep = cost_report(minority_adder(1), 15)
     assert rep.gate_count == 3
     assert rep.reduction_percent == Fraction(80)
     assert rep.reduction_one_decimal() == "80.0"

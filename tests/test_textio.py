@@ -14,7 +14,7 @@ from dwtl import (
     parse_truth_table,
     print_netlist,
 )
-from dwtl.constructions import minority_full_adder
+from dwtl.constructions import minority_adder
 from tests_util import random_valid_netlist
 
 GOLDEN = Path(__file__).parent / "golden" / "adder1_minority.dwtl"
@@ -34,7 +34,7 @@ def test_golden_file_is_canonical_fixpoint():
 
 
 def test_generator_matches_golden():
-    assert print_netlist(minority_full_adder()) == GOLDEN.read_text()
+    assert print_netlist(minority_adder(1)) == GOLDEN.read_text()
 
 
 def test_min_sugar_only_for_plain_min3():
@@ -50,7 +50,7 @@ def test_min_sugar_only_for_plain_min3():
 
 
 def test_print_idempotent():
-    net = minority_full_adder()
+    net = minority_adder(1)
     once = print_netlist(net)
     assert print_netlist(parse_netlist(once)) == once
 
@@ -93,7 +93,7 @@ def test_error_column_is_the_offending_token():
         ("input p\ninput p\n", (2, 7), "duplicate name 'p'"),
         ("input x\ngate g w=-1:x w=1:e\n", (2, 19), "unknown reference 'e'"),
         ("input a\ngate mine min a a\n", (2, 11), "exactly 3 refs"),
-        ("input t\noutput t = !u\n", (2, 12), "unknown reference 'u'"),
+        ("input t\noutput t = !u\n", (2, 13), "unknown reference 'u'"),
         ("input a\ngate g w=-1:a w=-0:a\n", (2, 15), "zero weight"),
         ("input a\ngate w w=1:a w=1\n", (2, 14), "got 'w=1'"),
         ("input a\ninput b\ngate bc min a b c\n", (3, 17), "unknown reference 'c'"),
@@ -110,7 +110,7 @@ def test_error_column_is_the_offending_token():
         ("input a\n output y a\n", (2, 2), "expected: output <name> = [!]<ref>"),
         ("input a\noutput 1y = a\n", (2, 8), "invalid name '1y'"),
         ("input a\noutput a = a\noutput a = !a\n", (3, 8), "duplicate output name 'a'"),
-        ("input a\noutput y = !-a\n", (2, 12), "invalid reference '-a'"),
+        ("input a\noutput y = !-a\n", (2, 13), "invalid reference '-a'"),
         ("input a\n  wire w a\n", (2, 3), "unknown statement 'wire'"),
     ]
     for text, position, reason in cases:

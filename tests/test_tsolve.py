@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -6,7 +7,6 @@ import pytest
 
 from dwtl import (
     NotThreshold,
-    NotThresholdError,
     NotUnate,
     ThresholdRealization,
     ThresholdGate,
@@ -145,8 +145,11 @@ def test_minimize_weighted_sum_gate_function():
 
 
 def test_minimize_rejects_xor():
-    with pytest.raises(NotThresholdError):
-        minimize_weights(XOR2)
+    # the certificate, as solve_threshold returns it: XOR2's 4 witness rows
+    res = minimize_weights(XOR2)
+    assert isinstance(res, NotThreshold)
+    assert res.num_constraints == 4
+    assert res.infeasibility_gap > 0
 
 
 def test_minimize_deterministic():
@@ -155,7 +158,7 @@ def test_minimize_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("n,expected", [(1, 4), (2, 14), (3, 104)])
+@pytest.mark.parametrize("n,expected", [(1, 4), (2, 14), (3, 104), (4, 1882)])
 def test_enumerate_counts(n, expected):
     enum = enumerate_threshold_functions(n)
     assert enum.count == expected
@@ -174,16 +177,39 @@ def test_enumerate_matches_direct_solve(n):
     assert set(enum.tables) == direct
 
 
-def test_enumerate_solves_only_the_monotone_functions(monkeypatch):
-    # one LP per permutation class of the monotone functions: 30 classes of
-    # the 168 at 4 inputs, 210 of the 7,581 at 5 (OEIS A003182); is_unate on
+def test_enumerate_tables_match_pinned_digests():
+    # sha256 of repr(tables), computed with the monotone-class enumerator that
+    # the ordered-regular build replaced
+    digests = {
+        1: "c5c25158dde5b90a643a2185451fc876735019befa3aa97c963d56eaae22476b",
+        2: "491cb8ed107939343162aa5707bfa93780d07a282999f22134ca0aa529342bc3",
+        3: "3fb90ae9e318b5cb62444841f445e7b9c538a92b8a9f06b6409676ea0525215c",
+        4: "f741ed33203027b0c8bc8c1223b6965e5701e4ca156afc9538153ea052039551",
+        5: "dc0fb8c8015b323cdffc5dbdfa90e3f08441e85b9c11facf7637055ecb363222",
+    }
+    for n, digest in digests.items():
+        tables = enumerate_threshold_functions(n).tables
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest, n
+
+
+def test_enumerate_solves_only_the_regular_functions(monkeypatch):
+    # one LP per ordered-regular function, the one member x_0 >= x_1 >= ...
+    # of each permutation class of positive threshold functions: 27 at 4
+    # inputs, 119 at 5; each is threshold, so no LP refutes, and is_unate on
     # a monotone table reports only '+' and '0', so no witness is ever built
     solved = []
     real_solve, real_is_unate = tsolve._solve, tsolve.is_unate
 
     def counting_solve(tt, unate):
-        solved.append(tt.bits)
-        return real_solve(tt, unate)
+        n, f = tt.num_inputs, tt.bits
+        for j in range(n - 1):  # x_j outweighs x_{j+1}: a true row with
+            # x_j = 0, x_{j+1} = 1 stays true with the two traded
+            low = ~input_pattern(j, n) & input_pattern(j + 1, n)
+            assert not (f & low) >> (1 << j) & ~f, (hex(f), j)
+        solved.append(f)
+        res = real_solve(tt, unate)
+        assert isinstance(res, ThresholdRealization), hex(f)
+        return res
 
     def checked_is_unate(tt):
         unate = real_is_unate(tt)
@@ -194,10 +220,10 @@ def test_enumerate_solves_only_the_monotone_functions(monkeypatch):
     monkeypatch.setattr(tsolve, "_solve", counting_solve)
     monkeypatch.setattr(tsolve, "is_unate", checked_is_unate)
     assert enumerate_threshold_functions(4).count == 1882
-    assert len(solved) == len(set(solved)) == 30
+    assert len(solved) == len(set(solved)) == 27
     solved.clear()
     assert enumerate_threshold_functions(5).count == 94_572
-    assert len(solved) == len(set(solved)) == 210
+    assert len(solved) == len(set(solved)) == 119
 
 
 def _moved(tables, n, move):
