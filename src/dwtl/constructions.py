@@ -19,15 +19,6 @@ MAX_ADDER_BITS = 64
 MIN3 = SpinMinorityGate((-1, -1, -1))
 
 
-def weighted_sum_gate() -> SpinMinorityGate:
-    """Four-input gate, unit pull on three inputs and double pull on the fourth.
-
-    Wired to (a, b, cin, q) with q = MIN3(a, b, cin) it computes the
-    complement of the sum bit of a + b + cin.
-    """
-    return SpinMinorityGate((-1, -1, -1, -2))
-
-
 def adder_names(n_bits: int) -> tuple[list[str], list[str]]:
     if not 1 <= n_bits <= MAX_ADDER_BITS:
         raise ValueError(f"n_bits must be in 1..{MAX_ADDER_BITS}, got {n_bits}")

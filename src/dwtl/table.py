@@ -30,13 +30,11 @@ def assignment_of(index: int, num_inputs: int) -> tuple[int, ...]:
 
 
 def input_pattern(j: int, num_inputs: int) -> int:
-    """Value of input j across all 2^n rows, packed as a 2^n-bit integer.
+    """Value of input j < num_inputs across all 2^n rows, as a 2^n-bit integer.
 
     Bit i of the result is bit j of the row index i: 2^j zeros then 2^j ones,
     repeated by doubling until the pattern spans 2^n rows.
     """
-    if j >= num_inputs:
-        return 0
     rows = 1 << num_inputs
     block = 1 << j
     pattern = ((1 << block) - 1) << block
@@ -113,12 +111,3 @@ class TruthTable(Record):
     @property
     def num_rows(self) -> int:
         return 1 << self.num_inputs
-
-    def bit(self, index: int) -> int:
-        if not 0 <= index < self.num_rows:
-            raise IndexError(f"row {index} out of range")
-        return (self.bits >> index) & 1
-
-    def complement(self) -> "TruthTable":
-        mask = (1 << self.num_rows) - 1
-        return TruthTable(self.num_inputs, self.bits ^ mask)

@@ -249,11 +249,8 @@ def _positive_form(
     return g, g & ~lowered, ((1 << tt.num_rows) - 1) & ~g & ~raised
 
 
-def _solve(
-    tt: TruthTable, unate: Unateness | NotUnate, minimize: bool = False
-) -> ThresholdRealization | NotThreshold:
-    """``solve_threshold`` given the table's unateness, or with ``minimize``,
-    ``minimize_weights``.
+def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | NotThreshold:
+    """``solve_threshold``, or with ``minimize``, ``minimize_weights``.
 
     A unate table is solved in its positive form: each '-' variable is
     flipped, each '0' variable gets weight 0, and the weights u of the live
@@ -267,6 +264,12 @@ def _solve(
     warm, with the integer lexicographic minimum on the working set of sum
     |w|, each live w_j in variable order (-u_j if flipped), then T.
     """
+    if tt.num_inputs > SOLVE_MAX_INPUTS:
+        caller = "minimize_weights" if minimize else "solve_threshold"
+        raise ValueError(
+            f"{caller} supports up to {SOLVE_MAX_INPUTS} inputs, got {tt.num_inputs}"
+        )
+    unate = is_unate(tt)
     if isinstance(unate, NotUnate):
         # the witness's 4 rows alone force w_j >= 1 and w_j <= -1; weights
         # and T are free there, each split into a nonnegative pair
@@ -333,7 +336,7 @@ def _solve(
 def solve_threshold(tt: TruthTable) -> ThresholdRealization | NotThreshold:
     """Exact integer realization of ``tt`` as a single threshold gate, or proof
     that none exists."""
-    return _solve(tt, _unateness(tt, "solve_threshold"))
+    return _solve(tt)
 
 
 def minimize_weights(tt: TruthTable) -> ThresholdRealization | NotThreshold:
@@ -342,15 +345,7 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization | NotThreshold:
     variables get weight 0; a constant table gets zero weights and T = 1
     (for 0) or -n (for 1).
     """
-    return _solve(tt, _unateness(tt, "minimize_weights"), minimize=True)
-
-
-def _unateness(tt: TruthTable, caller: str) -> Unateness | NotUnate:
-    if tt.num_inputs > SOLVE_MAX_INPUTS:
-        raise ValueError(
-            f"{caller} supports up to {SOLVE_MAX_INPUTS} inputs, got {tt.num_inputs}"
-        )
-    return is_unate(tt)
+    return _solve(tt, minimize=True)
 
 
 class ThresholdEnumeration(Record):
@@ -388,8 +383,7 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
     swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
     tables: list[int] = []
     for f in regular:
-        tt = TruthTable(n, f)
-        if isinstance(_solve(tt, is_unate(tt)), NotThreshold):
+        if isinstance(_solve(TruthTable(n, f)), NotThreshold):
             continue
         orbit, new = {f}, {f}
         while new:  # breadth first: the closure of {f} under adjacent swaps

@@ -128,6 +128,8 @@ def test_verify_inline_spec(fa1, capsys):
          "line 1, col 22: output 'cout': table value out of range for n=3"),
         (1, "sum0=3:0x96,cout=3:zz",
          "line 1, col 18: output 'cout': expected <n>:<hex>, got '3:zz'"),
+        (1, "sum0=3:0x96,cout", "bad spec item 'cout', expected <output>=<n:hex>"),
+        (1, "", "bad spec item '', expected <output>=<n:hex>"),
     ],
 )
 def test_verify_refuses_bad_spec(tmp_path, capsys, bits, spec, err):

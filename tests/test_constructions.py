@@ -19,10 +19,9 @@ from dwtl.constructions import (
     minority_adder,
     nand_adder,
     ripple_adder,
-    weighted_sum_gate,
 )
 from dwtl.table import assignment_of
-from tests_util import spin_eval
+from tests_util import SUM4, spin_eval
 
 
 def test_minority_full_adder_shape():
@@ -45,12 +44,13 @@ def test_minority_full_adder_tables():
 
 
 def test_weighted_sum_gate_weights():
-    assert weighted_sum_gate().weights == (-1, -1, -1, -2)
+    # bit 0 reads cin direct, so its sum gate is the paper's, weight -1 on it
+    assert ripple_adder(1).gates[1].gate.weights == SUM4.weights == (-1, -1, -1, -2)
 
 
 def test_weighted_sum_gate_single_row():
     # 1 + 1 + 0 has sum bit 0, so the complement output is 1
-    assert spin_eval(weighted_sum_gate().weights, (1, 1, 0, 0)) == 1
+    assert spin_eval(SUM4.weights, (1, 1, 0, 0)) == 1
 
 
 def test_weighted_sum_gate_composed_table():
@@ -59,7 +59,7 @@ def test_weighted_sum_gate_composed_table():
         inputs=("a", "b", "cin"),
         gates=(
             GateDef("q", MIN3, ("a", "b", "cin")),
-            GateDef("s", weighted_sum_gate(), ("a", "b", "cin", "q")),
+            GateDef("s", SUM4, ("a", "b", "cin", "q")),
         ),
         outputs=(OutputDef("nsum", "s"),),
     )
@@ -78,8 +78,8 @@ def test_adder_spec_tables_shuffled_order_match_integer_addition():
             b = sum(x[f"b{i}"] << i for i in range(n))
             total = a + b + x["cin"]
             for i in range(n):
-                assert tables[f"sum{i}"].bit(row) == (total >> i) & 1
-            assert tables["cout"].bit(row) == (total >> n) & 1
+                assert (tables[f"sum{i}"].bits >> row) & 1 == (total >> i) & 1
+            assert (tables["cout"].bits >> row) & 1 == (total >> n) & 1
 
 
 def test_adder_spec_tables_refuses_25_inputs_at_once():

@@ -46,21 +46,25 @@ def test_every_public_name_is_its_home_modules_object():
 
 
 def test_test_only_names_are_gone():
-    # the scalar evaluators' error, the spin/bit maps and the Chow API are
-    # test oracles now (tests_util), not public names; minimize_weights
-    # returns its NotThreshold certificate instead of raising it in an error
+    # the scalar evaluators' error, the spin/bit maps, the Chow API, the table
+    # row and complement methods and the sum gate are test code now, not
+    # library names; minimize_weights returns its NotThreshold certificate
+    # instead of raising it in an error; _solve takes the table alone
     out = _fresh(
         "import dwtl\n"
         "gone = ['ArityError', 'bit_to_spin', 'spin_to_bit', 'ChowVector',\n"
         "        'chow_parameters', 'NotThresholdError']\n"
         "print([n for n in gone if n in dwtl.__all__ or hasattr(dwtl, n)])\n"
-        "from dwtl import gates, table, tsolve\n"
+        "from dwtl import constructions, gates, table, tsolve\n"
         "print([n for n in ('eval', 'is_well_defined', 'complemented', 'to_threshold')\n"
         "       if hasattr(gates.SpinMinorityGate, n)],\n"
         "      hasattr(gates.ThresholdGate, 'eval'),\n"
-        "      hasattr(table.TruthTable, 'on_set_size'))\n"
+        "      [n for n in ('on_set_size', 'bit', 'complement')\n"
+        "       if hasattr(table.TruthTable, n)],\n"
+        "      hasattr(constructions, 'weighted_sum_gate'),\n"
+        "      hasattr(tsolve, '_unateness'))\n"
     )
-    assert out == "[]\n[] False False\n"
+    assert out == "[]\n[] False [] False False\n"
 
 
 def test_star_import_binds_all():

@@ -27,7 +27,7 @@ from dwtl.constructions import (
     nand_adder,
     ripple_adder,
 )
-from tests_util import random_valid_netlist, spin_eval
+from tests_util import complement, random_valid_netlist, spin_eval
 
 MIN3 = SpinMinorityGate((-1, -1, -1))
 
@@ -127,7 +127,7 @@ def test_duplicate_output_names_refused_by_equivalence_checks():
         gates=(GateDef("g", MIN3, ("a", "b", "c")),),
         outputs=(OutputDef("y", "g"), OutputDef("y", "g", invert=True)),
     )
-    majority = MIN3.truth_table().complement()
+    majority = complement(MIN3.truth_table())
     with pytest.raises(NetlistError, match="duplicate output name 'y'"):
         check_equivalence(net, {"y": majority})
 
@@ -348,7 +348,7 @@ def test_tie_check_sweeps_each_gate_once(monkeypatch):
     assert sweeps == [4, 4]
     x = {"a": 1, "b": 0, "c": 1, "d": 0}
     assert net.evaluate(x) == net.evaluate(x) == {"y": 0}
-    assert net.truth_tables()["y"].bit(5) == 0
+    assert (net.truth_tables()["y"].bits >> 5) & 1 == 0
     assert cost_report(net, 2).depth == 2
     assert sweeps == [4, 4]
     # built in code, with new gate objects: swept when built, never at use
@@ -436,7 +436,7 @@ def test_truth_tables_passthrough():
 def test_output_invert_complements_table():
     net = single_gate_net(MIN3, 3)
     flipped = Netlist(net.inputs, net.gates, (OutputDef("y", "g", invert=True),))
-    assert flipped.truth_tables()["y"] == net.truth_tables()["y"].complement()
+    assert flipped.truth_tables()["y"] == complement(net.truth_tables()["y"])
 
 
 def test_equivalence_adder_spec():
@@ -483,7 +483,7 @@ def test_truth_tables_match_pointwise_evaluate():
         x = {name: (row >> j) & 1 for j, name in enumerate(names)}
         out = net.evaluate(x)
         for o, v in out.items():
-            assert tts[o].bit(row) == v
+            assert (tts[o].bits >> row) & 1 == v
 
 
 def test_sampled_equivalence_clean():

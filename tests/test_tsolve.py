@@ -20,7 +20,7 @@ from dwtl import (
 )
 from dwtl import tsolve
 from dwtl.table import ENUMERATE_MAX_INPUTS, assignment_of, input_pattern
-from tests_util import chow_parameters
+from tests_util import SUM4, chow_parameters
 
 MAJ3 = TruthTable(3, 0xE8)
 MIN3 = TruthTable(3, 0x17)
@@ -135,9 +135,7 @@ def test_minimize_not():
 
 
 def test_minimize_weighted_sum_gate_function():
-    from dwtl import SpinMinorityGate
-
-    tt = SpinMinorityGate((-1, -1, -1, -2)).truth_table()
+    tt = SUM4.truth_table()
     res = minimize_weights(tt)
     assert res.gate.weight_magnitude_sum == 5
     assert sorted(abs(w) for w in res.gate.weights) == [1, 1, 1, 2]
@@ -200,14 +198,14 @@ def test_enumerate_solves_only_the_regular_functions(monkeypatch):
     solved = []
     real_solve, real_is_unate = tsolve._solve, tsolve.is_unate
 
-    def counting_solve(tt, unate):
+    def counting_solve(tt, minimize=False):
         n, f = tt.num_inputs, tt.bits
         for j in range(n - 1):  # x_j outweighs x_{j+1}: a true row with
             # x_j = 0, x_{j+1} = 1 stays true with the two traded
             low = ~input_pattern(j, n) & input_pattern(j + 1, n)
             assert not (f & low) >> (1 << j) & ~f, (hex(f), j)
         solved.append(f)
-        res = real_solve(tt, unate)
+        res = real_solve(tt, minimize)
         assert isinstance(res, ThresholdRealization), hex(f)
         return res
 
@@ -224,6 +222,28 @@ def test_enumerate_solves_only_the_regular_functions(monkeypatch):
     solved.clear()
     assert enumerate_threshold_functions(5).count == 94_572
     assert len(solved) == len(set(solved)) == 119
+
+
+def test_enumerate_skips_a_refuted_regular_function(monkeypatch):
+    # no LP refutes a regular function at n <= 5, so refute MAJ3 by hand: its
+    # class is itself (it is symmetric), and its 8 flips over its 3 essential
+    # variables drop out, and nothing else
+    unpatched = enumerate_threshold_functions(3).tables
+    real_solve, refuted = tsolve._solve, []
+
+    def refuting_solve(tt, minimize=False):
+        if tt == MAJ3:
+            refuted.append(tt)
+            return NotThreshold(num_constraints=0, infeasibility_gap=1)
+        return real_solve(tt, minimize)
+
+    monkeypatch.setattr(tsolve, "_solve", refuting_solve)
+    enum = enumerate_threshold_functions(3)
+    flips = {0x17, 0x2B, 0x4D, 0x71, 0x8E, 0xB2, 0xD4, 0xE8}
+    assert refuted == [MAJ3]
+    assert enum.count == len(enum.tables) == 96
+    assert set(unpatched) - set(enum.tables) == flips
+    assert enum.tables == tuple(f for f in unpatched if f not in flips)
 
 
 def _moved(tables, n, move):

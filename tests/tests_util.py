@@ -4,8 +4,14 @@ one vector at a time, apart from the packed weighted-sum kernel."""
 
 import random
 
-from dwtl import GateDef, Netlist, OutputDef, SpinMinorityGate, ThresholdGate, TieError
+from dwtl import (
+    GateDef, Netlist, OutputDef, SpinMinorityGate, ThresholdGate, TieError, TruthTable,
+)
 from dwtl.table import input_pattern
+
+# the paper's sum gate: unit pull on three inputs, double pull on the fourth;
+# wired to (a, b, cin, MIN3(a, b, cin)) it holds the complement of the sum bit
+SUM4 = SpinMinorityGate((-1, -1, -1, -2))
 
 
 def spin_eval(weights, x):
@@ -40,6 +46,11 @@ def to_threshold(gate):
     T = sum(w) + 1, since with s = 2x - 1 the spin sum is positive iff
     2 * sum(w_i x_i) >= sum(w_i) + 1 over integers."""
     return ThresholdGate(tuple(2 * w for w in gate.weights), sum(gate.weights) + 1)
+
+
+def complement(tt):
+    """``tt`` with every row's value flipped."""
+    return TruthTable(tt.num_inputs, tt.bits ^ ((1 << tt.num_rows) - 1))
 
 
 def negated(gate):
