@@ -254,6 +254,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _int_literal(text: str) -> int:  # decimal, 0x.., 0o.. or 0b..
+    return int(text, 0)
+
+
+_int_literal.__name__ = "int"  # argparse says "invalid int value", as for --vectors
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwtl",
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     p.add_argument("--spec", required=True,
                    help="adder:<n> or <out>=<n:hex>[,<out>=<n:hex>...]")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_int_literal, default=DEFAULT_SEED,
                    help="PRNG seed for sampled verification (default 0xd0da11)")
     p.add_argument("--vectors", type=int, default=DEFAULT_SAMPLE_VECTORS,
                    help="random vector count for wide netlists")

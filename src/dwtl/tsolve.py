@@ -10,18 +10,18 @@ off-set rows satisfy sum(w x) <= T - 1.
 The LP never sees all 2^n rows. A non-unate table is refuted by its
 unateness witness alone (4 rows). A unate table is solved in its positive
 form, where only the minimal true and maximal false rows matter (Muroga,
-*Threshold Logic and Its Applications*, 1971), and those are added to the
-LP one at a time, each time the lowest one that the current integer
-candidate, tabled by the packed gate kernel, gets wrong. Pivots run on
-integers, fraction-free (Edmonds/Bareiss), on one tableau per solve: an
-added row is written into the current basis and the pivots go on from
-there, a warm start, instead of re-solving from an empty basis.
+*Threshold Logic and Its Applications*, 1971), added one at a time, each the
+lowest that the integer candidate, tabled by the packed gate kernel, gets
+wrong. An ordered-regular function needs no such loop: under ordered weights
+its shift-minimal true and shift-maximal false rows decide one LP, posed at
+once. Pivots run on integers, fraction-free (Edmonds/Bareiss), on one tableau
+per LP: an added row is written into the current basis and pivoting goes on.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import accumulate, product
 
 from .gates import ThresholdGate, _weighted_at_least
 from .table import ENUMERATE_MAX_INPUTS, SOLVE_MAX_INPUTS
@@ -233,20 +233,18 @@ def _delta_swap(bits: int, mask: int, shift: int) -> int:
     return bits ^ t ^ (t << shift)
 
 
-def _positive_form(
-    tt: TruthTable, unate: Unateness, patterns: list[int]
-) -> tuple[int, int, int]:
-    """(g, mins, maxs): the table with its '-' variables flipped, its minimal
-    true rows and its maximal false rows."""
-    g = tt.bits
-    for j, p in enumerate(unate.polarities):
-        if p == "-":
-            g = _delta_swap(g, ~patterns[j], 1 << j)
-    lowered = raised = 0  # rows with a true row below / a false row above
-    for j, pattern in enumerate(patterns):
-        lowered |= pattern & (g << (1 << j))
-        raised |= ~pattern & (~g >> (1 << j))
-    return g, g & ~lowered, ((1 << tt.num_rows) - 1) & ~g & ~raised
+def _extremal(g: int, full: int, drops, swaps) -> tuple[int, int]:
+    """The minimal true and maximal false rows of g, monotone in the order the
+    moves generate. A move (mask, shift) pairs each row r in mask with r +
+    shift: a drop's r lies below it, a swap's above it."""
+    below = above = 0  # rows with a true row just below / a false row just above
+    for mask, shift in drops:
+        below |= (mask & g) << shift
+        above |= mask & ~(g >> shift)
+    for mask, shift in swaps:
+        below |= mask & (g >> shift)
+        above |= (mask & ~g) << shift
+    return g & ~below, full & ~g & ~above
 
 
 def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | NotThreshold:
@@ -285,7 +283,11 @@ def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | Not
     full = (1 << tt.num_rows) - 1
     patterns = input_patterns(n)
     live = [j for j, p in enumerate(unate.polarities) if p != "0"]
-    g, mins, maxs = _positive_form(tt, unate, patterns)
+    g = tt.bits  # the positive form: each '-' variable flipped
+    for j in live:
+        if unate.polarities[j] == "-":
+            g = _delta_swap(g, ~patterns[j], 1 << j)
+    mins, maxs = _extremal(g, full, [(~p, 1 << j) for j, p in enumerate(patterns)], ())
     boundary = mins | maxs
     lp = _SeparationLP(len(live) + 1)
 
@@ -348,6 +350,47 @@ def minimize_weights(tt: TruthTable) -> ThresholdRealization | NotThreshold:
     return _solve(tt, minimize=True)
 
 
+def _ordered_regular(n: int) -> list[int]:
+    """The monotone functions in which trading x_j = 1 for x_i = 1, i < j, keeps
+    a true row true: 3 / 5 / 10 / 27 / 119 / 1,173 at n = 1..6."""
+    regular = [0, 1]  # the 0-input functions
+    for k in range(n):
+        # f = f0 | f1 << 2^k: f0 within f1 keeps f monotone in x_k, and each
+        # true row of f1 with x_{k-1} = 0, traded for x_{k-1} = 1, is in f0
+        low, half = (~input_pattern(k - 1, k), 1 << (k - 1)) if k else (0, 0)
+        regular = [
+            f0 | f1 << (1 << k) for f1 in regular for f0 in regular
+            if not f0 & ~f1 and not (f1 & low) << half & ~f0
+        ]
+    return regular
+
+
+def _regular_point(f: int, patterns: list[int], swaps) -> tuple[list[int], int] | None:
+    """Weights w_0 >= w_1 >= ... >= 0 and T realizing the ordered-regular f, from
+    one exact LP, or None if it is infeasible. The variables are T and steps
+    d_k >= 0, w_j = d_j + ... + d_{m-1} over the essential x_0..x_{m-1} (a
+    prefix), so a row's coefficient for d_k is its ones among x_0..x_k. Ordered
+    weights keep the sum monotone in the order of the adjacent ``swaps`` and of
+    dropping x_{n-1}, so f's extremal rows in it decide the LP; and a regular
+    threshold function has an ordered realization, so infeasible is a proof."""
+    n = len(patterns)
+    m = sum(_delta_swap(f, ~p, 1 << j) != f for j, p in enumerate(patterns))
+    mins, maxs = _extremal(f, (1 << (1 << n)) - 1, [(~patterns[-1], 1 << (n - 1))], swaps)
+    lp = _SeparationLP(m + 1)
+    for rows, s, rhs in ((mins, -1, 0), (maxs, 1, -1)):  # on: -c.v <= 0, off: c.v <= -1
+        while rows:
+            i = (rows & -rows).bit_length() - 1
+            rows &= rows - 1
+            ones = accumulate((i >> k) & 1 for k in range(m))  # c = (ones, -1)
+            lp.add([s * c for c in (*ones, -1)], rhs)
+    gap, values = lp.solve()
+    if gap:
+        return None
+    weights = [*accumulate(reversed(values[:m]))][::-1] + [0] * (n - m)
+    scale = math.gcd(*weights, values[-1]) or 1
+    return [w // scale for w in weights], values[-1] // scale
+
+
 class ThresholdEnumeration(Record):
     num_inputs: int
     count: int
@@ -361,30 +404,24 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
     and with x_0 >= x_1 >= ... in weight that is regular: trading x_j = 1 for
     x_i = 1, i < j, keeps a true row true. Each permutation class of positive
     threshold functions has exactly one such member (Muroga 1971; Peled and
-    Simeone, *Discrete Applied Math.* 12, 1985). One exact LP decides each
-    (119 at n = 5); a threshold one is closed under adjacent swaps into its
-    class, and each member expanded into its flips over its essential
-    variables, a disjoint union since distinct flips give distinct polarities.
+    Simeone, *Discrete Applied Math.* 12, 1985). One exact LP on its extremal
+    rows decides each (119 at n = 5), and its weights are re-evaluated; each
+    threshold one is closed under adjacent swaps into its class, each member
+    expanded into its flips over its essential variables, a disjoint union.
     """
     if not 1 <= n <= ENUMERATE_MAX_INPUTS:
         raise ValueError(
             f"enumerate_threshold_functions supports 1..{ENUMERATE_MAX_INPUTS}, got {n}"
         )
-    regular = [0, 1]  # the 0-input functions
-    for k in range(n):
-        # f = f0 | f1 << 2^k: f0 within f1 keeps f monotone in x_k, and each
-        # true row of f1 with x_{k-1} = 0, traded for x_{k-1} = 1, is in f0
-        low, half = (~input_pattern(k - 1, k), 1 << (k - 1)) if k else (0, 0)
-        regular = [
-            f0 | f1 << (1 << k) for f1 in regular for f0 in regular
-            if not f0 & ~f1 and not (f1 & low) << half & ~f0
-        ]
-    patterns = input_patterns(n)
+    full, patterns = (1 << (1 << n)) - 1, input_patterns(n)
     swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
     tables: list[int] = []
-    for f in regular:
-        if isinstance(_solve(TruthTable(n, f)), NotThreshold):
+    for f in _ordered_regular(n):
+        point = _regular_point(f, patterns, swaps)
+        if point is None:
             continue
+        if _weighted_at_least(point[0], patterns, full, point[1]) != f:
+            raise RuntimeError("LP solution failed re-evaluation; solver bug")
         orbit, new = {f}, {f}
         while new:  # breadth first: the closure of {f} under adjacent swaps
             new = {_delta_swap(g, m, s) for g in new for m, s in swaps} - orbit

@@ -174,6 +174,23 @@ def test_verify_refuses_negative_seed(tmp_path, capsys):
     assert "seed=0x-5" not in captured.out
 
 
+@pytest.mark.parametrize("seed", ["abc", "010", "0x"])
+def test_verify_refuses_a_seed_that_is_no_integer(tmp_path, capsys, seed):
+    # int(s, 0) refuses 010 (a leading zero is no decimal literal); the
+    # message names the type as --vectors' "invalid int value" does
+    path = tmp_path / "fa2.dwtl"
+    assert run(["gen", "adder", "--bits", "2", "--style", "weighted",
+                "-o", str(path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", str(path), "--spec", "adder:2", "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"dwtl verify: error: argument --seed: invalid int value: '{seed}'\n"
+    )
+
+
 def test_verify_seed_changes_are_deterministic(tmp_path, capsys):
     path = tmp_path / "fa14.dwtl"
     run(["gen", "adder", "--bits", "14", "--style", "nand", "-o", str(path)])

@@ -19,7 +19,7 @@ from dwtl import (
     threshold_tables_by_search,
 )
 from dwtl import tsolve
-from dwtl.table import ENUMERATE_MAX_INPUTS, assignment_of, input_pattern
+from dwtl.table import ENUMERATE_MAX_INPUTS, assignment_of, input_pattern, input_patterns
 from tests_util import SUM4, chow_parameters
 
 MAJ3 = TruthTable(3, 0xE8)
@@ -190,33 +190,37 @@ def test_enumerate_tables_match_pinned_digests():
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest, n
 
 
+def _checked_regular(f, n):
+    """Assert that f is monotone and ordered-regular in x_0 >= x_1 >= ..."""
+    for j in range(n):  # x_j = 0 to 1 keeps a true row true
+        assert not (f & ~input_pattern(j, n)) << (1 << j) & ~f, (hex(f), j)
+    for j in range(n - 1):  # x_j outweighs x_{j+1}: a true row with
+        # x_j = 0, x_{j+1} = 1 stays true with the two traded
+        low = ~input_pattern(j, n) & input_pattern(j + 1, n)
+        assert not (f & low) >> (1 << j) & ~f, (hex(f), j)
+
+
 def test_enumerate_solves_only_the_regular_functions(monkeypatch):
     # one LP per ordered-regular function, the one member x_0 >= x_1 >= ...
     # of each permutation class of positive threshold functions: 27 at 4
-    # inputs, 119 at 5; each is threshold, so no LP refutes, and is_unate on
-    # a monotone table reports only '+' and '0', so no witness is ever built
+    # inputs, 119 at 5; each is threshold, so no LP refutes, and neither the
+    # general solver nor the unateness check runs
     solved = []
-    real_solve, real_is_unate = tsolve._solve, tsolve.is_unate
+    real_point = tsolve._regular_point
 
-    def counting_solve(tt, minimize=False):
-        n, f = tt.num_inputs, tt.bits
-        for j in range(n - 1):  # x_j outweighs x_{j+1}: a true row with
-            # x_j = 0, x_{j+1} = 1 stays true with the two traded
-            low = ~input_pattern(j, n) & input_pattern(j + 1, n)
-            assert not (f & low) >> (1 << j) & ~f, (hex(f), j)
+    def counting_point(f, patterns, swaps):
+        _checked_regular(f, len(patterns))
         solved.append(f)
-        res = real_solve(tt, minimize)
-        assert isinstance(res, ThresholdRealization), hex(f)
-        return res
+        point = real_point(f, patterns, swaps)
+        assert point is not None, hex(f)
+        return point
 
-    def checked_is_unate(tt):
-        unate = real_is_unate(tt)
-        assert not isinstance(unate, NotUnate), hex(tt.bits)
-        assert set(unate.polarities) <= {"+", "0"}, hex(tt.bits)
-        return unate
+    def unused(*args, **kwargs):
+        raise AssertionError("the enumerator called the general solver")
 
-    monkeypatch.setattr(tsolve, "_solve", counting_solve)
-    monkeypatch.setattr(tsolve, "is_unate", checked_is_unate)
+    monkeypatch.setattr(tsolve, "_regular_point", counting_point)
+    monkeypatch.setattr(tsolve, "_solve", unused)
+    monkeypatch.setattr(tsolve, "is_unate", unused)
     assert enumerate_threshold_functions(4).count == 1882
     assert len(solved) == len(set(solved)) == 27
     solved.clear()
@@ -229,21 +233,53 @@ def test_enumerate_skips_a_refuted_regular_function(monkeypatch):
     # class is itself (it is symmetric), and its 8 flips over its 3 essential
     # variables drop out, and nothing else
     unpatched = enumerate_threshold_functions(3).tables
-    real_solve, refuted = tsolve._solve, []
+    real_point, refuted = tsolve._regular_point, []
 
-    def refuting_solve(tt, minimize=False):
-        if tt == MAJ3:
-            refuted.append(tt)
-            return NotThreshold(num_constraints=0, infeasibility_gap=1)
-        return real_solve(tt, minimize)
+    def refuting_point(f, patterns, swaps):
+        if (len(patterns), f) == (3, MAJ3.bits):
+            refuted.append(f)
+            return None
+        return real_point(f, patterns, swaps)
 
-    monkeypatch.setattr(tsolve, "_solve", refuting_solve)
+    monkeypatch.setattr(tsolve, "_regular_point", refuting_point)
     enum = enumerate_threshold_functions(3)
     flips = {0x17, 0x2B, 0x4D, 0x71, 0x8E, 0xB2, 0xD4, 0xE8}
-    assert refuted == [MAJ3]
+    assert refuted == [MAJ3.bits]
     assert enum.count == len(enum.tables) == 96
     assert set(unpatched) - set(enum.tables) == flips
     assert enum.tables == tuple(f for f in unpatched if f not in flips)
+
+
+def test_regular_lp_matches_solve_on_every_regular_function_of_six_inputs():
+    # past the enumerator's ceiling, where 60 of the 1,173 ordered-regular
+    # functions are not threshold: the one-LP verdict equals the general
+    # solver's on each, and each point realizes its function
+    n = 6
+    patterns = input_patterns(n)
+    swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
+    regular = tsolve._ordered_regular(n)
+    assert len(regular) == len(set(regular)) == 1173
+    verdicts = []
+    for f in regular:
+        _checked_regular(f, n)
+        point = tsolve._regular_point(f, patterns, swaps)
+        if point is not None:
+            weights, threshold = point
+            assert list(weights) == sorted(weights, reverse=True), hex(f)
+            assert ThresholdGate(tuple(weights), threshold).truth_table().bits == f
+        res = tsolve._solve(TruthTable(n, f))
+        assert (point is not None) == isinstance(res, ThresholdRealization), hex(f)
+        verdicts.append(point is not None)
+    assert verdicts.count(True) == 1113
+    assert verdicts.count(False) == 60
+
+
+def test_enumerate_refuses_a_point_that_fails_re_evaluation(monkeypatch):
+    # an LP "solution" of all zeros is T = 0 with zero weights, constant 1,
+    # which is wrong for the first regular function, constant 0
+    monkeypatch.setattr(tsolve._SeparationLP, "solve", lambda self, costs=(): (0, [0] * self.nv))
+    with pytest.raises(RuntimeError, match="failed re-evaluation"):
+        enumerate_threshold_functions(3)
 
 
 def _moved(tables, n, move):
