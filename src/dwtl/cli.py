@@ -258,7 +258,7 @@ def _int_literal(text: str) -> int:  # decimal, 0x.., 0o.. or 0b..
     return int(text, 0)
 
 
-_int_literal.__name__ = "int"  # argparse says "invalid int value", as for --vectors
+_int_literal.__name__ = "int"  # argparse says "invalid int value: '010'"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adder:<n> or <out>=<n:hex>[,<out>=<n:hex>...]")
     p.add_argument("--seed", type=_int_literal, default=DEFAULT_SEED,
                    help="PRNG seed for sampled verification (default 0xd0da11)")
-    p.add_argument("--vectors", type=int, default=DEFAULT_SAMPLE_VECTORS,
+    p.add_argument("--vectors", type=_int_literal, default=DEFAULT_SAMPLE_VECTORS,
                    help="random vector count for wide netlists")
     add_format(p)
     p.set_defaults(func=_cmd_verify)

@@ -7,15 +7,12 @@ from the same LP, continued by a lexicographic phase 2. Strict separation
 is posed with integer margin 1: on-set rows satisfy sum(w x) >= T and
 off-set rows satisfy sum(w x) <= T - 1.
 
-The LP never sees all 2^n rows. A non-unate table is refuted by its
-unateness witness alone (4 rows). A unate table is solved in its positive
-form, where only the minimal true and maximal false rows matter (Muroga,
-*Threshold Logic and Its Applications*, 1971), added one at a time, each the
-lowest that the integer candidate, tabled by the packed gate kernel, gets
-wrong. An ordered-regular function needs no such loop: under ordered weights
-its shift-minimal true and shift-maximal false rows decide one LP, posed at
-once. Pivots run on integers, fraction-free (Edmonds/Bareiss), on one tableau
-per LP: an added row is written into the current basis and pivoting goes on.
+The LP never sees all 2^n rows. ``_solve`` refutes a table by 4 rows, or
+decides it by one LP over ordered weights on its shift-extremal rows, each
+added when the integer candidate, tabled by the packed gate kernel, gets it
+wrong (Muroga, *Threshold Logic and Its Applications*, 1971). Pivots run on
+integers, fraction-free (Edmonds/Bareiss), on one tableau per LP: an added
+row is written into the current basis and pivoting goes on.
 """
 
 from __future__ import annotations
@@ -61,9 +58,9 @@ class NotThreshold(Record):
 
     ``infeasibility_gap`` is the phase-1 optimum (strictly positive) of the
     warm-started LP, whose added rows carry their own artificial columns, and
-    ``num_constraints`` the number of rows in the final working set, which
-    alone are infeasible: the 4 witness rows of a non-unate table, else the
-    boundary rows added before the LP failed.
+    ``num_constraints`` the number of rows posed, which alone are infeasible:
+    4 (two true, two false, equal sums) if the table is not unate or not
+    regular in Chow order, else the rows the ordered LP added before failing.
     """
 
     num_constraints: int
@@ -88,12 +85,7 @@ def is_unate(tt: TruthTable) -> Unateness | NotUnate:
                 increasing=(assignment_of(i_up, n), assignment_of(i_up | d, n)),
                 decreasing=(assignment_of(i_dn, n), assignment_of(i_dn | d, n)),
             )
-        if increasing:
-            polarities.append("+")
-        elif decreasing:
-            polarities.append("-")
-        else:
-            polarities.append("0")
+        polarities.append("+" if increasing else "-" if decreasing else "0")
     return Unateness(tuple(polarities))
 
 
@@ -196,10 +188,10 @@ class _SeparationLP:
         self.obj, self.d = objs[0], d
         return price
 
-    def certificate(self, num_constraints: int) -> NotThreshold:
+    def certificate(self) -> NotThreshold:
         from fractions import Fraction  # only a proof of infeasibility loads it
 
-        return NotThreshold(num_constraints, Fraction(-self.obj[0], self.d))
+        return NotThreshold(len(self.rows), Fraction(-self.obj[0], self.d))
 
 
 def _lexmin(lp: _SeparationLP, costs: list[list[int]], ceiling: int) -> list[int] | None:
@@ -233,34 +225,48 @@ def _delta_swap(bits: int, mask: int, shift: int) -> int:
     return bits ^ t ^ (t << shift)
 
 
-def _extremal(g: int, full: int, drops, swaps) -> tuple[int, int]:
-    """The minimal true and maximal false rows of g, monotone in the order the
-    moves generate. A move (mask, shift) pairs each row r in mask with r +
-    shift: a drop's r lies below it, a swap's above it."""
-    below = above = 0  # rows with a true row just below / a false row just above
-    for mask, shift in drops:
-        below |= (mask & g) << shift
-        above |= mask & ~(g >> shift)
+def _extremal(f: int, patterns: list[int], swaps) -> int:
+    """The shift-minimal true and shift-maximal false rows of f: those with no
+    true row just below, or no false row just above, in the order that
+    dropping x_{n-1} and the adjacent ``swaps`` generate. A swap (mask, shift)
+    pairs each row r in mask with r + shift, below it."""
+    full, top = (1 << (1 << len(patterns))) - 1, 1 << (len(patterns) - 1)
+    below = (~patterns[-1] & f) << top  # rows with a true row just below
+    above = ~patterns[-1] & ~(f >> top)  # rows with a false row just above
     for mask, shift in swaps:
-        below |= mask & (g >> shift)
-        above |= (mask & ~g) << shift
-    return g & ~below, full & ~g & ~above
+        below |= mask & (f >> shift)
+        above |= (mask & ~f) << shift
+    return f & ~below | full & ~f & ~above
+
+
+def _refute(*rows: tuple[int, ...]) -> NotThreshold:
+    """The certificate of two true and then two false ``rows`` whose vector sums
+    are equal, which no threshold gate separates: the LP on these 4 rows alone,
+    with weights and T free (each split into a nonnegative pair), is infeasible."""
+    lp = _SeparationLP(2 * len(rows[0]) + 2)
+    for k, row in enumerate(rows):
+        signs = (-1, 1) if k < 2 else (1, -1)  # on: -c.v <= 0, off: c.v <= -1
+        lp.add([s * x for x in (*row, -1) for s in signs], -(k >= 2))
+    if not lp.solve()[0]:
+        raise RuntimeError("LP feasible on 4 rows of equal sums; solver bug")
+    return lp.certificate()
 
 
 def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | NotThreshold:
     """``solve_threshold``, or with ``minimize``, ``minimize_weights``.
 
-    A unate table is solved in its positive form: each '-' variable is
-    flipped, each '0' variable gets weight 0, and the weights u of the live
-    variables are >= 0 with T >= 0 (a negative T only realizes constant 1,
-    as T = 0 does). Under u >= 0 every true row dominates a minimal true
-    row and every false row is dominated by a maximal false row, so those
-    boundary rows decide the LP. They are added to a working set one at a
-    time, each time the lowest one the integer candidate gets wrong, into
-    one warm-started LP that pivots on from its last basis. Infeasibility
-    on the working set is already a proof. To minimize, the loop goes on,
-    warm, with the integer lexicographic minimum on the working set of sum
-    |w|, each live w_j in variable order (-u_j if flipped), then T.
+    A non-unate table is refuted by its witness. A unate one is flipped to its
+    positive form and its variables sorted by Chow parameter, the true rows
+    with x_j = 1, '0' variables last: for a threshold function, a desirability
+    order (Chow 1961; Winder, *J. ACM* 18, 1971). As x_k then counts at least
+    as many as x_{k+1}, a false row with x_k = 1, x_{k+1} = 0 and a true swap
+    partner implies a true one with a false partner: 4 rows of equal sums.
+    Else ``_regular_point`` decides on ordered weights, which lose nothing: a
+    threshold function weighs a higher Chow parameter higher, and equal ones
+    are symmetric. To minimize, the costs are sum |w|, each live w_j in
+    variable order (-u_j if flipped), then T; Chow ties put '-' variables
+    first by index, then '+' ones by descending index, so the ordered minimum
+    is the unordered one.
     """
     if tt.num_inputs > SOLVE_MAX_INPUTS:
         caller = "minimize_weights" if minimize else "solve_threshold"
@@ -269,66 +275,44 @@ def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | Not
         )
     unate = is_unate(tt)
     if isinstance(unate, NotUnate):
-        # the witness's 4 rows alone force w_j >= 1 and w_j <= -1; weights
-        # and T are free there, each split into a nonnegative pair
-        rows = (*unate.increasing, *unate.decreasing)
-        lp = _SeparationLP(2 * len(rows[0]) + 2)
-        for row, on in zip(rows, (False, True, True, False)):
-            signs = (-1, 1) if on else (1, -1)  # on: -c.v <= 0, off: c.v <= -1
-            lp.add([s * x for x in (*row, -1) for s in signs], on - 1)
-        if not lp.solve()[0]:
-            raise RuntimeError("LP feasible on a unateness witness; solver bug")
-        return lp.certificate(len(rows))
-    n = tt.num_inputs
-    full = (1 << tt.num_rows) - 1
+        (low, high), (top, bottom) = unate.increasing, unate.decreasing
+        return _refute(high, top, low, bottom)
+    n, polarities = tt.num_inputs, unate.polarities
     patterns = input_patterns(n)
-    live = [j for j, p in enumerate(unate.polarities) if p != "0"]
+    swaps = [(patterns[k] & ~patterns[k + 1], 1 << k) for k in range(n - 1)]
     g = tt.bits  # the positive form: each '-' variable flipped
-    for j in live:
-        if unate.polarities[j] == "-":
+    for j, p in enumerate(polarities):
+        if p == "-":
             g = _delta_swap(g, ~patterns[j], 1 << j)
-    mins, maxs = _extremal(g, full, [(~p, 1 << j) for j, p in enumerate(patterns)], ())
-    boundary = mins | maxs
-    lp = _SeparationLP(len(live) + 1)
-
-    def cut(new: list[int], costs: list[list[int]]) -> tuple[list[int], int] | None:
-        """Pose ``new``, then each row the point gets wrong: its gate, or None."""
-        while True:
-            for i in new:
-                on = (g >> i) & 1  # on: -c.v <= 0, off: c.v <= -1, c = (row, -1)
-                s = -1 if on else 1
-                lp.add([s * ((i >> j) & 1) for j in live] + [-s], on - 1)
-            # costs come after the probe, ``point``: it fits every working set,
-            # so its sum |w| bounds each stage
-            values = _lexmin(lp, costs, sum(point[0])) if costs else lp.solve()[1]
-            if not values:
-                return None
-            scale = math.gcd(*values) or 1
-            weights = [0] * n
-            for j, v in zip(live, values):
-                weights[j] = v // scale
-            threshold = values[-1] // scale
-            # positive form: every weight >= 0, so the kernel's bound is T itself
-            candidate = _weighted_at_least(weights, patterns, full, threshold)
-            wrong = (candidate ^ g) & boundary
-            if not wrong:
-                return weights, threshold
-            new = [(wrong & -wrong).bit_length() - 1]
-
-    point = cut([r.bit_length() - 1 for r in (mins & -mins, maxs) if r], [])
+    rank = [(p == "0", -(g & q).bit_count(), p == "+", -j if p == "+" else j)
+            for j, (p, q) in enumerate(zip(polarities, patterns))]
+    order = list(range(n))  # the variable at each position of g, bubble sorted
+    for end in range(n - 1, 0, -1):
+        for k in range(end):
+            if rank[order[k]] > rank[order[k + 1]]:
+                order[k : k + 2] = order[k + 1], order[k]
+                g = _delta_swap(g, *swaps[k])
+    for mask, shift in swaps:
+        up, down = mask & ~g & (g >> shift), mask & g & ~(g >> shift)
+        if up:  # false a with a true partner, true b with a false one
+            a, b = ((r & -r).bit_length() - 1 for r in (up, down))
+            return _refute(*(assignment_of(i, n) for i in (a + shift, b, a, b + shift)))
+    m = n - polarities.count("0")
+    costs = []
+    if minimize:  # sum |w| = sum (k + 1) d_k, each live w_j in variable order, then T
+        unit = {j: [0] * k + [1 - 2 * (polarities[j] == "-")] * (m - k) + [0]
+                for k, j in enumerate(order[:m])}  # w_j = +-(d_k + ... + d_{m-1})
+        costs = [[*range(1, m + 1), 0], *(unit[j] for j in sorted(unit)), [0] * m + [1]]
+    lp = _SeparationLP(m + 1)
+    point = _regular_point(g, patterns, swaps, costs, lp)
     if point is None:
-        return lp.certificate(len(lp.rows))
-    weights, threshold = point
-    signs = [-1 if unate.polarities[j] == "-" else 1 for j in live] + [1]
-    if minimize:
-        units = [[s * (i == k) for i in range(len(signs))] for k, s in enumerate(signs)]
-        weights, threshold = cut([], [[1] * len(live) + [0], *units])
-        if not threshold:  # constant 1: every T <= 0 fits; -n by convention
-            threshold = -n
-    for j, s in zip(live, signs):  # w_j x_j over 1 - x_j: negate w_j and lower T by it
-        if s < 0:
-            threshold -= weights[j]
-            weights[j] = -weights[j]
+        return lp.certificate()
+    # constant 1 (T = 0) takes every T <= 0: -n by convention when minimal
+    weights, threshold = [0] * n, point[1] or (-n if minimize else 0)
+    for j, w in zip(order, point[0]):  # w_j x_j over 1 - x_j: negate w_j, lower T by it
+        if polarities[j] == "-":
+            w, threshold = -w, threshold - w
+        weights[j] = w
     gate = ThresholdGate(weights=tuple(weights), threshold=threshold)
     if gate.truth_table() != tt:
         raise RuntimeError("LP solution failed re-evaluation; solver bug")
@@ -365,30 +349,48 @@ def _ordered_regular(n: int) -> list[int]:
     return regular
 
 
-def _regular_point(f: int, patterns: list[int], swaps) -> tuple[list[int], int] | None:
-    """Weights w_0 >= w_1 >= ... >= 0 and T realizing the ordered-regular f, from
-    one exact LP, or None if it is infeasible. The variables are T and steps
-    d_k >= 0, w_j = d_j + ... + d_{m-1} over the essential x_0..x_{m-1} (a
-    prefix), so a row's coefficient for d_k is its ones among x_0..x_k. Ordered
-    weights keep the sum monotone in the order of the adjacent ``swaps`` and of
-    dropping x_{n-1}, so f's extremal rows in it decide the LP; and a regular
-    threshold function has an ordered realization, so infeasible is a proof."""
-    n = len(patterns)
+def _regular_point(
+    f: int, patterns: list[int], swaps, costs: Sequence[list[int]] = (), lp=None
+) -> tuple[list[int], int] | None:
+    """Weights w_0 >= w_1 >= ... >= 0 and T realizing the ordered-regular f, or
+    None if there are none: a regular threshold function has ordered weights.
+    The LP's variables are steps d_k >= 0, w_j = d_j + ... + d_{m-1} over the
+    essential x_0..x_{m-1} (a prefix), then T, so a row's d_k coefficient is its
+    ones among x_0..x_k. Ordered weights keep the sum monotone in the order of
+    ``_extremal``, so its rows decide the LP (``lp`` if given): it starts from
+    the lowest m + 1 and adds the lowest one the integer candidate gets wrong
+    until that equals f. With ``costs``, the point goes on to their
+    lexicographic integer minimum on the same LP, its sum |w| as ceiling."""
+    n, full = len(patterns), (1 << (1 << len(patterns))) - 1
     m = sum(_delta_swap(f, ~p, 1 << j) != f for j, p in enumerate(patterns))
-    mins, maxs = _extremal(f, (1 << (1 << n)) - 1, [(~patterns[-1], 1 << (n - 1))], swaps)
-    lp = _SeparationLP(m + 1)
-    for rows, s, rhs in ((mins, -1, 0), (maxs, 1, -1)):  # on: -c.v <= 0, off: c.v <= -1
-        while rows:
-            i = (rows & -rows).bit_length() - 1
-            rows &= rows - 1
-            ones = accumulate((i >> k) & 1 for k in range(m))  # c = (ones, -1)
-            lp.add([s * c for c in (*ones, -1)], rhs)
-    gap, values = lp.solve()
-    if gap:
-        return None
-    weights = [*accumulate(reversed(values[:m]))][::-1] + [0] * (n - m)
-    scale = math.gcd(*weights, values[-1]) or 1
-    return [w // scale for w in weights], values[-1] // scale
+    boundary = rest = _extremal(f, patterns, swaps)
+    for _ in range(m + 1):
+        rest &= rest - 1
+    new, posed, stage, ceiling = boundary ^ rest, 0, [], 0  # the first stage: phase 1
+    lp = lp or _SeparationLP(m + 1)
+    while True:
+        posed |= new
+        while new:
+            i = (new & -new).bit_length() - 1
+            new &= new - 1
+            on = f >> i & 1  # on: -c.v <= 0, off: c.v <= -1, c = (ones, -1)
+            ones = accumulate(i >> k & 1 for k in range(m))
+            lp.add([(1 - 2 * on) * c for c in (*ones, -1)], on - 1)
+        values = _lexmin(lp, stage, ceiling) if stage else lp.solve()[1]
+        if not values:
+            return None
+        weights = [*accumulate(reversed(values[:m]))][::-1] + [0] * (n - m)
+        scale = math.gcd(*weights, values[-1]) or 1
+        weights, threshold = [w // scale for w in weights], values[-1] // scale
+        wrong = _weighted_at_least(weights, patterns, full, threshold) ^ f
+        if wrong:  # the lowest wrong extremal row, which must be new
+            new = wrong & boundary & -(wrong & boundary)
+            if not new or new & posed:
+                raise RuntimeError("LP solution failed re-evaluation; solver bug")
+        elif stage or not costs:
+            return weights, threshold
+        else:
+            stage, ceiling = costs, sum(weights)
 
 
 class ThresholdEnumeration(Record):
@@ -413,15 +415,12 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
         raise ValueError(
             f"enumerate_threshold_functions supports 1..{ENUMERATE_MAX_INPUTS}, got {n}"
         )
-    full, patterns = (1 << (1 << n)) - 1, input_patterns(n)
+    patterns = input_patterns(n)
     swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
     tables: list[int] = []
     for f in _ordered_regular(n):
-        point = _regular_point(f, patterns, swaps)
-        if point is None:
+        if _regular_point(f, patterns, swaps) is None:
             continue
-        if _weighted_at_least(point[0], patterns, full, point[1]) != f:
-            raise RuntimeError("LP solution failed re-evaluation; solver bug")
         orbit, new = {f}, {f}
         while new:  # breadth first: the closure of {f} under adjacent swaps
             new = {_delta_swap(g, m, s) for g in new for m, s in swaps} - orbit

@@ -177,7 +177,7 @@ def test_verify_refuses_negative_seed(tmp_path, capsys):
 @pytest.mark.parametrize("seed", ["abc", "010", "0x"])
 def test_verify_refuses_a_seed_that_is_no_integer(tmp_path, capsys, seed):
     # int(s, 0) refuses 010 (a leading zero is no decimal literal); the
-    # message names the type as --vectors' "invalid int value" does
+    # message names the type "int", as argparse does for int itself
     path = tmp_path / "fa2.dwtl"
     assert run(["gen", "adder", "--bits", "2", "--style", "weighted",
                 "-o", str(path)]) == 0
@@ -188,6 +188,28 @@ def test_verify_refuses_a_seed_that_is_no_integer(tmp_path, capsys, seed):
     assert captured.out == ""
     assert captured.err.endswith(
         f"dwtl verify: error: argument --seed: invalid int value: '{seed}'\n"
+    )
+
+
+def test_verify_reads_vectors_as_the_seed_is_read(tmp_path, capsys):
+    # --vectors takes the same literals as --seed: 0x10 is 16, and 010,
+    # which int(s, 0) refuses, is not read as 10
+    path = tmp_path / "fa16.dwtl"
+    assert run(["gen", "adder", "--bits", "16", "--style", "weighted",
+                "-o", str(path)]) == 0
+    for count in ("16", "0x10"):
+        assert run(["verify", str(path), "--spec", "adder:16", "--vectors", count]) == 0
+    decimal, hexadecimal = capsys.readouterr().out.splitlines()
+    assert decimal == hexadecimal
+    assert run(["verify", str(path), "--spec", "adder:16", "--vectors", "17"]) == 0
+    assert capsys.readouterr().out.strip() != decimal
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", str(path), "--spec", "adder:16", "--vectors", "010"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "dwtl verify: error: argument --vectors: invalid int value: '010'\n"
     )
 
 

@@ -20,7 +20,7 @@ from dwtl import (
 )
 from dwtl import tsolve
 from dwtl.table import ENUMERATE_MAX_INPUTS, assignment_of, input_pattern, input_patterns
-from tests_util import SUM4, chow_parameters
+from tests_util import SUM4, boundary_lp_verdict, chow_parameters
 
 MAJ3 = TruthTable(3, 0xE8)
 MIN3 = TruthTable(3, 0x17)
@@ -250,10 +250,16 @@ def test_enumerate_skips_a_refuted_regular_function(monkeypatch):
     assert enum.tables == tuple(f for f in unpatched if f not in flips)
 
 
-def test_regular_lp_matches_solve_on_every_regular_function_of_six_inputs():
+def test_regular_lp_matches_solve_on_every_regular_function_of_six_inputs(monkeypatch):
     # past the enumerator's ceiling, where 60 of the 1,173 ordered-regular
-    # functions are not threshold: the one-LP verdict equals the general
-    # solver's on each, and each point realizes its function
+    # functions are not threshold: the ordered LP's verdict, reached directly
+    # and through the solver, equals that of one LP on every minimal true and
+    # maximal false row, and each point realizes its function; the 60 stay
+    # regular in Chow order, so the ordered LP refutes them, not 4 rows
+    def unused(*rows):
+        raise AssertionError("a regular function refuted by 4 rows")
+
+    monkeypatch.setattr(tsolve, "_refute", unused)
     n = 6
     patterns = input_patterns(n)
     swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
@@ -268,18 +274,27 @@ def test_regular_lp_matches_solve_on_every_regular_function_of_six_inputs():
             assert list(weights) == sorted(weights, reverse=True), hex(f)
             assert ThresholdGate(tuple(weights), threshold).truth_table().bits == f
         res = tsolve._solve(TruthTable(n, f))
-        assert (point is not None) == isinstance(res, ThresholdRealization), hex(f)
-        verdicts.append(point is not None)
+        verdict = boundary_lp_verdict(n, f)
+        assert (point is not None) == verdict, hex(f)
+        assert isinstance(res, ThresholdRealization) == verdict, hex(f)
+        verdicts.append(verdict)
     assert verdicts.count(True) == 1113
     assert verdicts.count(False) == 60
 
 
 def test_enumerate_refuses_a_point_that_fails_re_evaluation(monkeypatch):
     # an LP "solution" of all zeros is T = 0 with zero weights, constant 1,
-    # which is wrong for the first regular function, constant 0
+    # which is wrong for the first regular function, constant 0, and for
+    # MAJ3 on its maximal false row, which is posed at once: the loop raises
+    # rather than pose that row again
     monkeypatch.setattr(tsolve._SeparationLP, "solve", lambda self, costs=(): (0, [0] * self.nv))
-    with pytest.raises(RuntimeError, match="failed re-evaluation"):
-        enumerate_threshold_functions(3)
+    for call in (
+        lambda: enumerate_threshold_functions(3),
+        lambda: solve_threshold(MAJ3),
+        lambda: minimize_weights(MAJ3),
+    ):
+        with pytest.raises(RuntimeError, match="failed re-evaluation"):
+            call()
 
 
 def _moved(tables, n, move):
@@ -324,9 +339,9 @@ def test_solve_every_n4_table_matches_search_oracle():
         res = solve_threshold(tt)
         assert isinstance(res, ThresholdRealization) == (f in oracle), hex(f)
         if isinstance(res, NotThreshold):
+            # a non-unate witness, or a table that is not regular in Chow order
             assert res.infeasibility_gap > 0
-            if isinstance(is_unate(tt), NotUnate):
-                assert res.num_constraints == 4
+            assert res.num_constraints == 4, hex(f)
 
 
 def _literal(j, n, negated):
@@ -689,10 +704,16 @@ def test_lexmin_branches_on_a_fractional_optimum():
 
 
 def test_minimize_branches_where_solve_reaches_it(monkeypatch):
-    # the first seeded n = 7 table whose phase-2 optimum is fractional (every
-    # n <= 5 threshold function and 300 seeded n = 6 tables have an integer
-    # one), so _solve calls _lexmin's branch, with the probe's sum as ceiling
-    tt = TruthTable(7, 0xFFFFFFFAFFFAFA80FFFFFFE8FFE8E800)
+    # a seeded n = 8 table whose phase-2 optimum over ordered weights is
+    # fractional, so _solve calls _lexmin's branch, with the probe's sum as
+    # ceiling; the n = 7 table that branched over unordered weights has an
+    # integer optimum over ordered ones, and the same minimum
+    tt7 = TruthTable(7, 0xFFFFFFFAFFFAFA80FFFFFFE8FFE8E800)
+    gate = minimize_weights(tt7).gate
+    want = (15, (2, 1, 2, 3, 3, 3, 1), 6)
+    assert (gate.weight_magnitude_sum, gate.weights, gate.threshold) == want
+    assert _minimize_by_compositions(tt7) == want
+    tt = ThresholdGate((1, -3, 16, -14, 10, 5, -12, -6), 0).truth_table()
     stages = []
     lexmin = tsolve._lexmin
 
@@ -705,7 +726,7 @@ def test_minimize_branches_where_solve_reaches_it(monkeypatch):
     gate = minimize_weights(tt).gate
     assert time.perf_counter() - start < 1  # a few milliseconds
     assert min(stages) < max(stages)  # the branch re-entered on the later costs
-    want = (15, (2, 1, 2, 3, 3, 3, 1), 6)
+    want = (63, (1, -3, 15, -13, 9, 5, -11, -6), 0)
     assert (gate.weight_magnitude_sum, gate.weights, gate.threshold) == want
     assert _minimize_by_compositions(tt) == want
 

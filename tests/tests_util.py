@@ -66,6 +66,21 @@ def chow_parameters(tt):
     return 2 * on - tt.num_rows, m
 
 
+def boundary_lp_verdict(n, f):
+    """Whether the monotone n-input f is threshold, from one exact LP posed at
+    once on all of its minimal true and maximal false rows under single-bit
+    moves, with weights and T >= 0: no variable order and no cut loop."""
+    from dwtl.tsolve import _SeparationLP
+
+    lp = _SeparationLP(n + 1)
+    for i in range(1 << n):
+        on = f >> i & 1  # minimal true: no true row one bit below; maximal false
+        if all(f >> (i ^ 1 << j) & 1 != on for j in range(n) if i >> j & 1 == on):
+            s = -1 if on else 1  # on: -c.v <= 0, off: c.v <= -1, c = (row, -1)
+            lp.add([s * (i >> j & 1) for j in range(n)] + [-s], on - 1)
+    return lp.solve()[0] == 0
+
+
 def random_valid_netlist(rng: random.Random) -> Netlist:
     """Small random valid netlist; every gate has odd total weight (no ties)."""
     n_inputs = rng.randint(1, 6)
