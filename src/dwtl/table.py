@@ -1,6 +1,6 @@
 """Bit-packed truth tables of up to 24 inputs, and ``Record``, the frozen base
 class of every dwtl value type: no subcommand loads ``inspect``, ``ast`` or
-``dis``, and only a cost report or a non-threshold proof loads ``fractions``.
+``dis``, and only a cost report loads ``fractions``.
 """
 
 from __future__ import annotations

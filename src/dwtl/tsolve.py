@@ -7,12 +7,12 @@ from the same LP, continued by a lexicographic phase 2. Strict separation
 is posed with integer margin 1: on-set rows satisfy sum(w x) >= T and
 off-set rows satisfy sum(w x) <= T - 1.
 
-The LP never sees all 2^n rows. ``_solve`` refutes a table by 4 rows, or
-decides it by one LP over ordered weights on its shift-extremal rows, each
-added when the integer candidate, tabled by the packed gate kernel, gets it
-wrong (Muroga, *Threshold Logic and Its Applications*, 1971). Pivots run on
-integers, fraction-free (Edmonds/Bareiss), on one tableau per LP: an added
-row is written into the current basis and pivoting goes on.
+The LP never sees all 2^n rows. ``_solve`` refutes a table by 4 rows, which
+need no LP, or decides it by one LP over ordered weights on its shift-extremal
+rows, each added when the integer candidate, tabled by the packed gate kernel,
+gets it wrong (Muroga, *Threshold Logic and Its Applications*, 1971). Pivots
+run on integers, fraction-free (Edmonds/Bareiss), on one tableau per LP: an
+added row is written into the current basis and pivoting goes on.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .table import Record, TruthTable, assignment_of, input_pattern, input_patte
 TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
 if TYPE_CHECKING:
     from collections.abc import Sequence
-    from fractions import Fraction
 
 
 class Unateness(Record):
@@ -54,17 +53,13 @@ class ThresholdRealization(Record):
 
 
 class NotThreshold(Record):
-    """Infeasibility certificate from the exact separation LP.
-
-    ``infeasibility_gap`` is the phase-1 optimum (strictly positive) of the
-    warm-started LP, whose added rows carry their own artificial columns, and
-    ``num_constraints`` the number of rows posed, which alone are infeasible:
-    4 (two true, two false, equal sums) if the table is not unate or not
-    regular in Chow order, else the rows the ordered LP added before failing.
+    """Proof that no threshold gate realizes the table, by ``num_constraints``
+    of its rows, which alone no gate separates: 4 (two true, two false, equal
+    vector sums) if the table is not unate or not regular in Chow order, else
+    the rows the exact ordered LP posed before it proved them infeasible.
     """
 
     num_constraints: int
-    infeasibility_gap: Fraction
 
 
 def is_unate(tt: TruthTable) -> Unateness | NotUnate:
@@ -137,23 +132,23 @@ class _SeparationLP:
         self.basis.append(len(new) - 1)
         self.rows.append(new)
 
-    def solve(self, costs: Sequence[list[int]] = ()) -> tuple[int, list[int]]:
+    def solve(self, costs: Sequence[list[int]] = ()) -> list[int]:
         """Pivot to the phase-1 optimum, then to the minimum of each of ``costs``
         in turn (lexicographic: each prices only the columns at 0 in every
         objective before it, so those, phase 1 among them, stay optimal).
-        Returns (gap, values), both times d: a positive ``gap`` proves the rows
-        infeasible (values empty); with gap 0, ``values`` is a feasible v."""
+        Returns a feasible v times d, or [] if a positive phase-1 optimum
+        proves the rows infeasible."""
         cols = range(1, len(self.obj))
         price = self._descend([self.obj], cols)
         if price[0]:
-            return -price[0], []
+            return []
         for c in costs:
             cols = [k for k in cols if not price[k]]
             if set(cols) <= set(self.basis):  # no pivot left: the optimum is one point
                 break
             price = self._descend([self.obj, self._in_basis(c, 0)], cols)
         basic = {b: row[0] for row, b in zip(self.rows, self.basis)}
-        return 0, [basic.get(k, 0) for k in range(1, self.nv + 1)]
+        return [basic.get(k, 0) for k in range(1, self.nv + 1)]
 
     def _descend(self, objs: list[list[int]], cols: Sequence[int]) -> list[int]:
         """Bland's rule on the last of ``objs`` over ``cols``, to its minimum;
@@ -188,11 +183,6 @@ class _SeparationLP:
         self.obj, self.d = objs[0], d
         return price
 
-    def certificate(self) -> NotThreshold:
-        from fractions import Fraction  # only a proof of infeasibility loads it
-
-        return NotThreshold(len(self.rows), Fraction(-self.obj[0], self.d))
-
 
 def _lexmin(lp: _SeparationLP, costs: list[list[int]], ceiling: int) -> list[int] | None:
     """The integer point of ``lp`` that minimizes each cost in turn; the costs
@@ -200,7 +190,7 @@ def _lexmin(lp: _SeparationLP, costs: list[list[int]], ceiling: int) -> list[int
     is infeasible, else None if it has no such point. Past a fractional optimum,
     the first cost is fixed at each integer from the optimum's up to ``ceiling``,
     on a copy, until one has an integer point or is infeasible."""
-    _, values = lp.solve(costs)
+    values = lp.solve(costs)
     if all(v % lp.d == 0 for v in values):
         return [v // lp.d for v in values]
     from copy import deepcopy  # only a fractional optimum loads it
@@ -239,17 +229,13 @@ def _extremal(f: int, patterns: list[int], swaps) -> int:
     return f & ~below | full & ~f & ~above
 
 
-def _refute(*rows: tuple[int, ...]) -> NotThreshold:
-    """The certificate of two true and then two false ``rows`` whose vector sums
-    are equal, which no threshold gate separates: the LP on these 4 rows alone,
-    with weights and T free (each split into a nonnegative pair), is infeasible."""
-    lp = _SeparationLP(2 * len(rows[0]) + 2)
-    for k, row in enumerate(rows):
-        signs = (-1, 1) if k < 2 else (1, -1)  # on: -c.v <= 0, off: c.v <= -1
-        lp.add([s * x for x in (*row, -1) for s in signs], -(k >= 2))
-    if not lp.solve()[0]:
-        raise RuntimeError("LP feasible on 4 rows of equal sums; solver bug")
-    return lp.certificate()
+def _refute(f: int, a: int, b: int, c: int, d: int) -> NotThreshold:
+    """The proof by true rows a, b and false rows c, d of f whose vector sums
+    are equal, which no threshold gate separates: w.a + w.b >= 2T > w.c + w.d.
+    Bitwise, equal sums are an equal AND and an equal OR of each pair."""
+    if f >> a & f >> b & ~(f >> c | f >> d) & 1 and (a & b, a | b) == (c & d, c | d):
+        return NotThreshold(4)
+    raise RuntimeError("4 rows that do not refute the table; solver bug")
 
 
 def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | NotThreshold:
@@ -275,8 +261,9 @@ def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | Not
         )
     unate = is_unate(tt)
     if isinstance(unate, NotUnate):
-        (low, high), (top, bottom) = unate.increasing, unate.decreasing
-        return _refute(high, top, low, bottom)
+        low, high, top, bottom = (sum(v << j for j, v in enumerate(row))
+                                  for row in (*unate.increasing, *unate.decreasing))
+        return _refute(tt.bits, high, top, low, bottom)
     n, polarities = tt.num_inputs, unate.polarities
     patterns = input_patterns(n)
     swaps = [(patterns[k] & ~patterns[k + 1], 1 << k) for k in range(n - 1)]
@@ -296,17 +283,16 @@ def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | Not
         up, down = mask & ~g & (g >> shift), mask & g & ~(g >> shift)
         if up:  # false a with a true partner, true b with a false one
             a, b = ((r & -r).bit_length() - 1 for r in (up, down))
-            return _refute(*(assignment_of(i, n) for i in (a + shift, b, a, b + shift)))
+            return _refute(g, a + shift, b, a, b + shift)
     m = n - polarities.count("0")
     costs = []
     if minimize:  # sum |w| = sum (k + 1) d_k, each live w_j in variable order, then T
         unit = {j: [0] * k + [1 - 2 * (polarities[j] == "-")] * (m - k) + [0]
                 for k, j in enumerate(order[:m])}  # w_j = +-(d_k + ... + d_{m-1})
         costs = [[*range(1, m + 1), 0], *(unit[j] for j in sorted(unit)), [0] * m + [1]]
-    lp = _SeparationLP(m + 1)
-    point = _regular_point(g, patterns, swaps, costs, lp)
-    if point is None:
-        return lp.certificate()
+    point = _regular_point(g, patterns, swaps, costs)
+    if isinstance(point, NotThreshold):
+        return point
     # constant 1 (T = 0) takes every T <= 0: -n by convention when minimal
     weights, threshold = [0] * n, point[1] or (-n if minimize else 0)
     for j, w in zip(order, point[0]):  # w_j x_j over 1 - x_j: negate w_j, lower T by it
@@ -350,24 +336,24 @@ def _ordered_regular(n: int) -> list[int]:
 
 
 def _regular_point(
-    f: int, patterns: list[int], swaps, costs: Sequence[list[int]] = (), lp=None
-) -> tuple[list[int], int] | None:
+    f: int, patterns: list[int], swaps, costs: Sequence[list[int]] = ()
+) -> tuple[list[int], int] | NotThreshold:
     """Weights w_0 >= w_1 >= ... >= 0 and T realizing the ordered-regular f, or
-    None if there are none: a regular threshold function has ordered weights.
+    the rows that refute it: a regular threshold function has ordered weights.
     The LP's variables are steps d_k >= 0, w_j = d_j + ... + d_{m-1} over the
     essential x_0..x_{m-1} (a prefix), then T, so a row's d_k coefficient is its
     ones among x_0..x_k. Ordered weights keep the sum monotone in the order of
-    ``_extremal``, so its rows decide the LP (``lp`` if given): it starts from
-    the lowest m + 1 and adds the lowest one the integer candidate gets wrong
-    until that equals f. With ``costs``, the point goes on to their
-    lexicographic integer minimum on the same LP, its sum |w| as ceiling."""
+    ``_extremal``, so its rows decide the LP: it starts from the lowest m + 1
+    and adds the lowest one the integer candidate gets wrong until that equals
+    f. With ``costs``, the point goes on to their lexicographic integer minimum
+    on the same LP, its sum |w| as ceiling."""
     n, full = len(patterns), (1 << (1 << len(patterns))) - 1
     m = sum(_delta_swap(f, ~p, 1 << j) != f for j, p in enumerate(patterns))
     boundary = rest = _extremal(f, patterns, swaps)
     for _ in range(m + 1):
         rest &= rest - 1
     new, posed, stage, ceiling = boundary ^ rest, 0, [], 0  # the first stage: phase 1
-    lp = lp or _SeparationLP(m + 1)
+    lp = _SeparationLP(m + 1)
     while True:
         posed |= new
         while new:
@@ -376,9 +362,11 @@ def _regular_point(
             on = f >> i & 1  # on: -c.v <= 0, off: c.v <= -1, c = (ones, -1)
             ones = accumulate(i >> k & 1 for k in range(m))
             lp.add([(1 - 2 * on) * c for c in (*ones, -1)], on - 1)
-        values = _lexmin(lp, stage, ceiling) if stage else lp.solve()[1]
-        if not values:
-            return None
+        values = _lexmin(lp, stage, ceiling) if stage else lp.solve()
+        if not values:  # once f is realized, its point stays within the ceiling
+            if stage:
+                raise RuntimeError("minimization lost a realizable point; solver bug")
+            return NotThreshold(len(lp.rows))
         weights = [*accumulate(reversed(values[:m]))][::-1] + [0] * (n - m)
         scale = math.gcd(*weights, values[-1]) or 1
         weights, threshold = [w // scale for w in weights], values[-1] // scale
@@ -419,7 +407,7 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
     swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
     tables: list[int] = []
     for f in _ordered_regular(n):
-        if _regular_point(f, patterns, swaps) is None:
+        if isinstance(_regular_point(f, patterns, swaps), NotThreshold):
             continue
         orbit, new = {f}, {f}
         while new:  # breadth first: the closure of {f} under adjacent swaps

@@ -101,13 +101,13 @@ EVALUATE = BASE | {"dwtl.gates", "dwtl.netlist", "dwtl.textio"}
 SOLVE = BASE | {"dwtl.gates", "dwtl.textio", "dwtl.tsolve"}
 
 
-# fractions loads only for a cost report or a not-threshold certificate; each
+# fractions loads only for a cost report, never for a solve; each
 # case runs once more under -S, where no site hook has loaded typing already
 @pytest.mark.parametrize(
     "argv, modules, loads_fractions",
     [
         (["solve", "--tt", "3:0xe8", "--minimize"], SOLVE, False),
-        (["solve", "--tt", "3:0x96"], SOLVE, True),
+        (["solve", "--tt", "3:0x96"], SOLVE, False),
         (["eval", "fa.dwtl", "--set", "a0=1,a1=0,b0=1,b1=1,cin=0"], EVALUATE, False),
         (["tt", "fa.dwtl"], EVALUATE, False),
         (["report", "fa.dwtl", "--baseline", "30"], EVALUATE, True),

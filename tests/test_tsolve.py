@@ -76,9 +76,7 @@ def test_solve_and2():
 
 def test_solve_xor2_not_threshold():
     res = solve_threshold(XOR2)
-    assert isinstance(res, NotThreshold)
-    assert res.infeasibility_gap > 0
-    assert res.num_constraints == 4
+    assert res == NotThreshold(4)
 
 
 def test_solve_min3_all_negative_weights():
@@ -144,10 +142,7 @@ def test_minimize_weighted_sum_gate_function():
 
 def test_minimize_rejects_xor():
     # the certificate, as solve_threshold returns it: XOR2's 4 witness rows
-    res = minimize_weights(XOR2)
-    assert isinstance(res, NotThreshold)
-    assert res.num_constraints == 4
-    assert res.infeasibility_gap > 0
+    assert minimize_weights(XOR2) == NotThreshold(4)
 
 
 def test_minimize_deterministic():
@@ -212,7 +207,7 @@ def test_enumerate_solves_only_the_regular_functions(monkeypatch):
         _checked_regular(f, len(patterns))
         solved.append(f)
         point = real_point(f, patterns, swaps)
-        assert point is not None, hex(f)
+        assert not isinstance(point, NotThreshold), hex(f)
         return point
 
     def unused(*args, **kwargs):
@@ -238,7 +233,7 @@ def test_enumerate_skips_a_refuted_regular_function(monkeypatch):
     def refuting_point(f, patterns, swaps):
         if (len(patterns), f) == (3, MAJ3.bits):
             refuted.append(f)
-            return None
+            return NotThreshold(4)
         return real_point(f, patterns, swaps)
 
     monkeypatch.setattr(tsolve, "_regular_point", refuting_point)
@@ -269,13 +264,13 @@ def test_regular_lp_matches_solve_on_every_regular_function_of_six_inputs(monkey
     for f in regular:
         _checked_regular(f, n)
         point = tsolve._regular_point(f, patterns, swaps)
-        if point is not None:
+        if not isinstance(point, NotThreshold):
             weights, threshold = point
             assert list(weights) == sorted(weights, reverse=True), hex(f)
             assert ThresholdGate(tuple(weights), threshold).truth_table().bits == f
         res = tsolve._solve(TruthTable(n, f))
         verdict = boundary_lp_verdict(n, f)
-        assert (point is not None) == verdict, hex(f)
+        assert (not isinstance(point, NotThreshold)) == verdict, hex(f)
         assert isinstance(res, ThresholdRealization) == verdict, hex(f)
         verdicts.append(verdict)
     assert verdicts.count(True) == 1113
@@ -286,8 +281,15 @@ def test_enumerate_refuses_a_point_that_fails_re_evaluation(monkeypatch):
     # an LP "solution" of all zeros is T = 0 with zero weights, constant 1,
     # which is wrong for the first regular function, constant 0, and for
     # MAJ3 on its maximal false row, which is posed at once: the loop raises
-    # rather than pose that row again
-    monkeypatch.setattr(tsolve._SeparationLP, "solve", lambda self, costs=(): (0, [0] * self.nv))
+    # rather than pose that row again, and a loop that does not fails here
+    calls = []
+
+    def zeros(self, costs=()):
+        calls.append(self)
+        assert len(calls) <= 64, "the loop kept solving"
+        return [0] * self.nv
+
+    monkeypatch.setattr(tsolve._SeparationLP, "solve", zeros)
     for call in (
         lambda: enumerate_threshold_functions(3),
         lambda: solve_threshold(MAJ3),
@@ -340,7 +342,6 @@ def test_solve_every_n4_table_matches_search_oracle():
         assert isinstance(res, ThresholdRealization) == (f in oracle), hex(f)
         if isinstance(res, NotThreshold):
             # a non-unate witness, or a table that is not regular in Chow order
-            assert res.infeasibility_gap > 0
             assert res.num_constraints == 4, hex(f)
 
 
@@ -367,7 +368,6 @@ def test_solve_known_verdicts_n5_to_n10():
             a, b, c, d = (_literal(j, n, rng.random() < 0.5) for j in picked)
             res = solve_threshold(TruthTable(n, (a & b) | (c & d)))
             assert isinstance(res, NotThreshold)
-            assert res.infeasibility_gap > 0
 
 
 @pytest.mark.parametrize(
@@ -640,29 +640,34 @@ def _warm_start_cases():
             picked = rng.sample(range(n), 4)
             a, b, c, d = (_literal(j, n, rng.random() < 0.5) for j in picked)
             yield TruthTable(n, (a & b) | (c & d))
+    for f in tsolve._ordered_regular(6):  # 60 of them refuted by the ordered LP
+        yield TruthTable(6, f)
 
 
 def test_warm_start_agrees_with_cold_start(lps):
     # the final working set, posed at once to a fresh LP and solved once,
-    # gives the incremental verdict, and every feasible answer fits each row
+    # gives the incremental verdict, and every feasible answer fits each row;
+    # a table refuted by 4 rows of equal sums builds no LP
     verdicts = set()
     for tt in _warm_start_cases():
         lps.clear()
         res = solve_threshold(tt)
+        if not lps:
+            assert res == NotThreshold(4), tt
+            continue
         (lp,) = lps
         cold = ColdLP(lp.nv)
         for r, rhs in lp.posed:
             cold.add(r, rhs)
-        gap, values = cold.solve()
+        values = cold.solve()
         threshold = isinstance(res, ThresholdRealization)
-        assert (gap == 0) == (lp.last[0] == 0) == threshold, tt
+        assert bool(values) == bool(lp.last) == threshold, tt
         verdicts.add(threshold)
         if threshold:
-            _assert_satisfies(lp.posed, lp.d, lp.last[1])
+            _assert_satisfies(lp.posed, lp.d, lp.last)
             _assert_satisfies(lp.posed, cold.d, values)
         else:
             assert res.num_constraints == len(lp.posed)
-            assert gap > 0 and values == []
     assert verdicts == {True, False}
 
 
@@ -672,6 +677,50 @@ def test_warm_start_pivots_weights_1_to_10(lps):
     assert isinstance(solve_threshold(tt), ThresholdRealization)
     (lp,) = lps
     assert lp.pivots <= 60
+
+
+@pytest.mark.parametrize(
+    "spec, lps_built",
+    [("3:0x96", 0), ("4:0xf888", 0), ("6:0xeaaaeaa8eaa8e880", 1)],
+    ids=["not-unate", "chow-irregular", "lp-refuted"],
+)
+def test_refutations_build_at_most_one_lp(lps, spec, lps_built):
+    # a non-unate table, and x0x1 | x2x3, which is unate but not regular in
+    # Chow order, are refuted by 4 rows of equal sums with no LP; a regular
+    # table that is not threshold is refuted by the one ordered LP
+    n, bits = spec.split(":")
+    tt = TruthTable(int(n), int(bits, 16))
+    for solve in (solve_threshold, minimize_weights):
+        lps.clear()
+        res = solve(tt)
+        assert isinstance(res, NotThreshold)
+        assert len(lps) == lps_built
+        if lps:
+            assert res.num_constraints == len(lps[0].posed) and lps[0].last == []
+        else:
+            assert res.num_constraints == 4
+
+
+def test_refute_checks_its_rows():
+    # XOR2: rows 1 and 2 are true, 0 and 3 false, and 1 + 2 = 0 + 3 bitwise
+    assert tsolve._refute(XOR2.bits, 1, 2, 0, 3) == NotThreshold(4)
+    for rows in ((0, 3, 1, 2), (1, 2, 0, 2), (1, 1, 0, 3)):
+        with pytest.raises(RuntimeError, match="do not refute"):
+            tsolve._refute(XOR2.bits, *rows)
+    # MAJ3: rows 3 and 5 are true, 1 and 4 false, but their sums differ
+    with pytest.raises(RuntimeError, match="do not refute"):
+        tsolve._refute(MAJ3.bits, 3, 5, 1, 4)
+
+
+@pytest.mark.parametrize("lost", [[], None])
+def test_minimize_refuses_a_lost_point(monkeypatch, lost):
+    # once the candidate realizes the table, its integer point is within the
+    # ceiling, so a minimize stage that finds none is a solver fault, not a
+    # proof that the table is not threshold
+    monkeypatch.setattr(tsolve, "_lexmin", lambda lp, costs, ceiling: lost)
+    assert isinstance(solve_threshold(MAJ3), ThresholdRealization)
+    with pytest.raises(RuntimeError, match="minimization lost"):
+        minimize_weights(MAJ3)
 
 
 def test_minimize_sum_at_most_the_lp_vertex_sum():

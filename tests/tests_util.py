@@ -78,7 +78,7 @@ def boundary_lp_verdict(n, f):
         if all(f >> (i ^ 1 << j) & 1 != on for j in range(n) if i >> j & 1 == on):
             s = -1 if on else 1  # on: -c.v <= 0, off: c.v <= -1, c = (row, -1)
             lp.add([s * (i >> j & 1) for j in range(n)] + [-s], on - 1)
-    return lp.solve()[0] == 0
+    return bool(lp.solve())
 
 
 def random_valid_netlist(rng: random.Random) -> Netlist:
