@@ -21,8 +21,7 @@ _HOME = {
             "parse_truth_table", "print_netlist",
         ),
         "tsolve": (
-            "NotThreshold", "NotUnate", "ThresholdRealization",
-            "Unateness", "enumerate_threshold_functions", "is_unate",
+            "NotThreshold", "ThresholdRealization", "enumerate_threshold_functions",
             "minimize_weights", "solve_threshold", "threshold_tables_by_search",
         ),
         "constructions": ("constructions",),  # the module itself

@@ -27,6 +27,13 @@ class NetlistError(ValueError):
     """Structural or usage error on a netlist operation."""
 
 
+def _named(name: str) -> str:
+    """``name``, if the text format can write it: [A-Za-z_][A-Za-z0-9_]*."""
+    if name.isascii() and name.isidentifier():
+        return name
+    raise NetlistError(f"invalid name '{name}'")
+
+
 class GateDef(Record):
     name: str
     gate: SpinMinorityGate
@@ -100,13 +107,13 @@ class Netlist(Record):
         declaration order, and the first violation raises.
         """
         defined: set[str] = set()
-        for name in self.inputs:
+        for name in map(_named, self.inputs):
             if name in defined:
                 raise NetlistError(f"duplicate name '{name}'")
             defined.add(name)
         last: dict[str, int] = {}
         for i, gdef in enumerate(self.gates):
-            name, gate, refs = gdef.name, gdef.gate, gdef.refs
+            name, gate, refs = _named(gdef.name), gdef.gate, gdef.refs
             if name in defined:
                 raise NetlistError(f"duplicate name '{name}'")
             if len(refs) != gate.fan_in:
@@ -124,7 +131,7 @@ class Netlist(Record):
             raise NetlistError("netlist has no outputs")
         out_names: set[str] = set()
         for o in self.outputs:
-            if o.name in out_names:
+            if _named(o.name) in out_names:
                 raise NetlistError(f"duplicate output name '{o.name}'")
             if o.ref not in defined:
                 raise NetlistError(f"output '{o.name}': unknown reference '{o.ref}'")

@@ -22,29 +22,11 @@ from itertools import accumulate, product
 
 from .gates import ThresholdGate, _weighted_at_least
 from .table import ENUMERATE_MAX_INPUTS, SOLVE_MAX_INPUTS
-from .table import Record, TruthTable, assignment_of, input_pattern, input_patterns
+from .table import Record, TruthTable, input_pattern, input_patterns
 
 TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
 if TYPE_CHECKING:
     from collections.abc import Sequence
-
-
-class Unateness(Record):
-    """Per-variable polarity: '+' nondecreasing, '-' nonincreasing, '0' independent."""
-
-    polarities: tuple[str, ...]
-
-
-class NotUnate(Record):
-    """Witness that some variable shows both polarities.
-
-    Each witness is a pair of assignments differing only in ``variable``;
-    ``increasing`` flips the function 0 -> 1, ``decreasing`` flips 1 -> 0.
-    """
-
-    variable: int
-    increasing: tuple[tuple[int, ...], tuple[int, ...]]
-    decreasing: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class ThresholdRealization(Record):
@@ -60,28 +42,6 @@ class NotThreshold(Record):
     """
 
     num_constraints: int
-
-
-def is_unate(tt: TruthTable) -> Unateness | NotUnate:
-    n = tt.num_inputs
-    full = (1 << tt.num_rows) - 1
-    polarities = []
-    for j in range(n):
-        d = 1 << j
-        low_mask = ~input_pattern(j, n) & full
-        f = tt.bits
-        increasing = (~f & (f >> d)) & low_mask
-        decreasing = (f & ~(f >> d)) & low_mask
-        if increasing and decreasing:
-            i_up = (increasing & -increasing).bit_length() - 1
-            i_dn = (decreasing & -decreasing).bit_length() - 1
-            return NotUnate(
-                variable=j,
-                increasing=(assignment_of(i_up, n), assignment_of(i_up | d, n)),
-                decreasing=(assignment_of(i_dn, n), assignment_of(i_dn | d, n)),
-            )
-        polarities.append("+" if increasing else "-" if decreasing else "0")
-    return Unateness(tuple(polarities))
 
 
 class _SeparationLP:
@@ -229,10 +189,18 @@ def _extremal(f: int, patterns: list[int], swaps) -> int:
     return f & ~below | full & ~f & ~above
 
 
-def _refute(f: int, a: int, b: int, c: int, d: int) -> NotThreshold:
-    """The proof by true rows a, b and false rows c, d of f whose vector sums
-    are equal, which no threshold gate separates: w.a + w.b >= 2T > w.c + w.d.
-    Bitwise, equal sums are an equal AND and an equal OR of each pair."""
+def _crossings(f: int, mask: int, shift: int) -> tuple[int, int]:
+    """The rows r in ``mask`` where f rises from r to r + ``shift``, and those
+    where it falls: x_j 0 -> 1 for mask ~input_pattern(j, n), or a swap."""
+    return mask & ~f & (f >> shift), mask & f & ~(f >> shift)
+
+
+def _refute(f: int, shift: int, up: int, down: int) -> NotThreshold:
+    """The proof by a row ``up`` where f rises across a move by ``shift`` and a
+    row ``down`` where it falls: no threshold gate separates the true rows a =
+    up + shift, b = down from the false c = up, d = down + shift, as their
+    vector sums (bitwise: AND and OR) are equal: w.a + w.b >= 2T > w.c + w.d."""
+    a, b, c, d = up + shift, down, up, down + shift
     if f >> a & f >> b & ~(f >> c | f >> d) & 1 and (a & b, a | b) == (c & d, c | d):
         return NotThreshold(4)
     raise RuntimeError("4 rows that do not refute the table; solver bug")
@@ -241,13 +209,15 @@ def _refute(f: int, a: int, b: int, c: int, d: int) -> NotThreshold:
 def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | NotThreshold:
     """``solve_threshold``, or with ``minimize``, ``minimize_weights``.
 
-    A non-unate table is refuted by its witness. A unate one is flipped to its
-    positive form and its variables sorted by Chow parameter, the true rows
-    with x_j = 1, '0' variables last: for a threshold function, a desirability
-    order (Chow 1961; Winder, *J. ACM* 18, 1971). As x_k then counts at least
-    as many as x_{k+1}, a false row with x_k = 1, x_{k+1} = 0 and a true swap
-    partner implies a true one with a false partner: 4 rows of equal sums.
-    Else ``_regular_point`` decides on ordered weights, which lose nothing: a
+    One pass over the moves x_j 0 -> 1 finds where f rises and falls; if it
+    does both across some x_j, its lowest rise and lowest fall refute it. Else
+    each x_j it only lowers ('-') is flipped, giving the positive form, and
+    the variables are sorted by Chow parameter, the true rows with x_j = 1
+    (an inessential x_j has half, fewer than any essential one): for a
+    threshold function, a desirability order (Chow 1961; Winder, *J. ACM* 18,
+    1971). As x_k then counts at least as many as x_{k+1}, f rising across
+    their swap also falls across it: 4 rows of equal sums again. Else
+    ``_regular_point`` decides on ordered weights, which lose nothing: a
     threshold function weighs a higher Chow parameter higher, and equal ones
     are symmetric. To minimize, the costs are sum |w|, each live w_j in
     variable order (-u_j if flipped), then T; Chow ties put '-' variables
@@ -259,20 +229,20 @@ def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | Not
         raise ValueError(
             f"{caller} supports up to {SOLVE_MAX_INPUTS} inputs, got {tt.num_inputs}"
         )
-    unate = is_unate(tt)
-    if isinstance(unate, NotUnate):
-        low, high, top, bottom = (sum(v << j for j, v in enumerate(row))
-                                  for row in (*unate.increasing, *unate.decreasing))
-        return _refute(tt.bits, high, top, low, bottom)
-    n, polarities = tt.num_inputs, unate.polarities
+    n, f = tt.num_inputs, tt.bits
     patterns = input_patterns(n)
+    g, signs = f, []  # g: the positive form, each '-' variable flipped
+    for j, p in enumerate(patterns):
+        rise, fall = _crossings(f, ~p, 1 << j)
+        if rise and fall:
+            return _refute(f, 1 << j, *((r & -r).bit_length() - 1 for r in (rise, fall)))
+        if fall:
+            g = _delta_swap(g, ~p, 1 << j)
+        signs.append(1 if rise else -1 if fall else 0)
+    m = n - signs.count(0)
     swaps = [(patterns[k] & ~patterns[k + 1], 1 << k) for k in range(n - 1)]
-    g = tt.bits  # the positive form: each '-' variable flipped
-    for j, p in enumerate(polarities):
-        if p == "-":
-            g = _delta_swap(g, ~patterns[j], 1 << j)
-    rank = [(p == "0", -(g & q).bit_count(), p == "+", -j if p == "+" else j)
-            for j, (p, q) in enumerate(zip(polarities, patterns))]
+    rank = [(-(g & p).bit_count(), s > 0, -j if s > 0 else j)
+            for j, (s, p) in enumerate(zip(signs, patterns))]
     order = list(range(n))  # the variable at each position of g, bubble sorted
     for end in range(n - 1, 0, -1):
         for k in range(end):
@@ -280,14 +250,12 @@ def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | Not
                 order[k : k + 2] = order[k + 1], order[k]
                 g = _delta_swap(g, *swaps[k])
     for mask, shift in swaps:
-        up, down = mask & ~g & (g >> shift), mask & g & ~(g >> shift)
-        if up:  # false a with a true partner, true b with a false one
-            a, b = ((r & -r).bit_length() - 1 for r in (up, down))
-            return _refute(g, a + shift, b, a, b + shift)
-    m = n - polarities.count("0")
+        up, down = _crossings(g, mask, shift)
+        if up:
+            return _refute(g, shift, *((r & -r).bit_length() - 1 for r in (up, down)))
     costs = []
     if minimize:  # sum |w| = sum (k + 1) d_k, each live w_j in variable order, then T
-        unit = {j: [0] * k + [1 - 2 * (polarities[j] == "-")] * (m - k) + [0]
+        unit = {j: [0] * k + [signs[j]] * (m - k) + [0]
                 for k, j in enumerate(order[:m])}  # w_j = +-(d_k + ... + d_{m-1})
         costs = [[*range(1, m + 1), 0], *(unit[j] for j in sorted(unit)), [0] * m + [1]]
     point = _regular_point(g, patterns, swaps, costs)
@@ -296,7 +264,7 @@ def _solve(tt: TruthTable, minimize: bool = False) -> ThresholdRealization | Not
     # constant 1 (T = 0) takes every T <= 0: -n by convention when minimal
     weights, threshold = [0] * n, point[1] or (-n if minimize else 0)
     for j, w in zip(order, point[0]):  # w_j x_j over 1 - x_j: negate w_j, lower T by it
-        if polarities[j] == "-":
+        if signs[j] < 0:
             w, threshold = -w, threshold - w
         weights[j] = w
     gate = ThresholdGate(weights=tuple(weights), threshold=threshold)

@@ -42,18 +42,19 @@ def test_every_public_name_is_its_home_modules_object():
         "        bad.append(name)\n"
         "print(len(dwtl.__all__), bad, dwtl.__all__ == sorted(dwtl.__all__))\n"
     )
-    assert out == "32 [] True\n"
+    assert out == "29 [] True\n"
 
 
 def test_test_only_names_are_gone():
-    # the scalar evaluators' error, the spin/bit maps, the Chow API, the table
-    # row and complement methods and the sum gate are test code now, not
-    # library names; minimize_weights returns its NotThreshold certificate
-    # instead of raising it in an error; _solve takes the table alone
+    # the scalar evaluators' error, the spin/bit maps, the Chow and unateness
+    # APIs, the table row and complement methods and the sum gate are test
+    # code now, not library names; minimize_weights returns its NotThreshold
+    # certificate instead of raising it in an error; _solve takes the table alone
     out = _fresh(
         "import dwtl\n"
         "gone = ['ArityError', 'bit_to_spin', 'spin_to_bit', 'ChowVector',\n"
-        "        'chow_parameters', 'NotThresholdError']\n"
+        "        'chow_parameters', 'NotThresholdError', 'is_unate', 'Unateness',\n"
+        "        'NotUnate']\n"
         "print([n for n in gone if n in dwtl.__all__ or hasattr(dwtl, n)])\n"
         "from dwtl import constructions, gates, table, tsolve\n"
         "print([n for n in ('eval', 'is_well_defined', 'complemented', 'to_threshold')\n"

@@ -119,6 +119,27 @@ def test_first_violation_in_declaration_order():
         net.truth_tables()
 
 
+def test_names_the_text_format_cannot_write_refused():
+    # print_netlist would write `input a b`, which parse_netlist refuses; the
+    # first bad name raises, inputs before gates before outputs
+    g = GateDef("g", MIN3, ("a", "b", "c"))
+    bad_gate = GateDef("g\u00e9", MIN3, ("a", "b", "c"))
+    y = (OutputDef("y", "g"),)
+    cases = [
+        (Netlist(("a", "b c", "c"), (bad_gate,), (OutputDef("y z", "g"),)), "b c"),
+        (Netlist(("a", "b", "c"), (bad_gate,), (OutputDef("y z", "g\u00e9"),)), "g\u00e9"),
+        (Netlist(("a", "b", "c"), (g,), y + (OutputDef("y z", "g"),)), "y z"),
+        (Netlist(("a", "b", "c"), (g,), (OutputDef("", "g"),)), ""),
+    ]
+    for net, name in cases:
+        for use in (net.truth_tables, lambda: cost_report(net, 3)):
+            with pytest.raises(NetlistError, match=f"^invalid name '{name}'$"):
+                use()
+    net = Netlist(("a b", "c", "d"), (GateDef("g", MIN3, ("a b", "c", "d")),), y)
+    with pytest.raises(NetlistError, match="^invalid name 'a b'$"):
+        net.evaluate({"a b": 1, "c": 0, "d": 1})
+
+
 def test_duplicate_output_names_refused_by_equivalence_checks():
     # y = minority and y = !minority once collapsed into one dict key, so
     # the majority spec compared only the second and passed

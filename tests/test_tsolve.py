@@ -7,20 +7,17 @@ import pytest
 
 from dwtl import (
     NotThreshold,
-    NotUnate,
     ThresholdRealization,
     ThresholdGate,
     TruthTable,
-    Unateness,
     enumerate_threshold_functions,
-    is_unate,
     minimize_weights,
     solve_threshold,
     threshold_tables_by_search,
 )
 from dwtl import tsolve
 from dwtl.table import ENUMERATE_MAX_INPUTS, assignment_of, input_pattern, input_patterns
-from tests_util import SUM4, boundary_lp_verdict, chow_parameters
+from tests_util import SUM4, boundary_lp_verdict, chow_parameters, polarities
 
 MAJ3 = TruthTable(3, 0xE8)
 MIN3 = TruthTable(3, 0x17)
@@ -41,31 +38,35 @@ def test_chow_constant_zero():
     assert chow_parameters(TruthTable(2, 0)) == (-4, (0, 0))
 
 
+def assert_minimal_weights_signed(tt, want):
+    # each minimal weight has its variable's polarity
+    weights = minimize_weights(tt).gate.weights
+    assert "".join("+" if w > 0 else "-" if w < 0 else "0" for w in weights) == want
+
+
 def test_unate_maj3():
-    res = is_unate(MAJ3)
-    assert isinstance(res, Unateness)
-    assert res.polarities == ("+", "+", "+")
+    assert polarities(MAJ3) == "+++"
+    assert_minimal_weights_signed(MAJ3, "+++")
 
 
 def test_unate_xor2():
-    res = is_unate(XOR2)
-    assert isinstance(res, NotUnate)
-    assert res.variable == 0
-    lo, hi = res.increasing
-    assert hi[0] == 1 and lo[0] == 0 and lo[1:] == hi[1:]
-    lo, hi = res.decreasing
-    assert lo[1:] == hi[1:]
+    # raising x0 lifts row 0b10 to 0b11 (1 -> 0) and row 0b00 to 0b01 (0 -> 1)
+    assert polarities(XOR2) is None
+    assert (XOR2.bits >> 0b00 & 1, XOR2.bits >> 0b01 & 1) == (0, 1)
+    assert (XOR2.bits >> 0b10 & 1, XOR2.bits >> 0b11 & 1) == (1, 0)
+    assert solve_threshold(XOR2) == minimize_weights(XOR2) == NotThreshold(4)
 
 
 def test_unate_not():
-    res = is_unate(NOT1)
-    assert res.polarities == ("-",)
+    assert polarities(NOT1) == "-"
+    assert_minimal_weights_signed(NOT1, "-")
 
 
 def test_unate_independent_variable():
-    # f(x0, x1) = x1 regardless of x0
+    # f(x0, x1) = x1 regardless of x0, so x0 gets weight 0
     f = TruthTable(2, 0b1100)
-    assert is_unate(f).polarities == ("0", "+")
+    assert polarities(f) == "0+"
+    assert_minimal_weights_signed(f, "0+")
 
 
 def test_solve_and2():
@@ -104,8 +105,8 @@ def test_not_unate_implies_not_threshold():
     for _ in range(200):
         n = rng.randint(2, 4)
         tt = TruthTable(n, rng.randrange(1 << (1 << n)))
-        if isinstance(is_unate(tt), NotUnate):
-            assert isinstance(solve_threshold(tt), NotThreshold)
+        if polarities(tt) is None:
+            assert solve_threshold(tt) == NotThreshold(4)
 
 
 def test_scaling_of_realizations():
@@ -198,8 +199,8 @@ def _checked_regular(f, n):
 def test_enumerate_solves_only_the_regular_functions(monkeypatch):
     # one LP per ordered-regular function, the one member x_0 >= x_1 >= ...
     # of each permutation class of positive threshold functions: 27 at 4
-    # inputs, 119 at 5; each is threshold, so no LP refutes, and neither the
-    # general solver nor the unateness check runs
+    # inputs, 119 at 5; each is threshold, so no LP refutes, and the general
+    # solver does not run
     solved = []
     real_point = tsolve._regular_point
 
@@ -215,7 +216,6 @@ def test_enumerate_solves_only_the_regular_functions(monkeypatch):
 
     monkeypatch.setattr(tsolve, "_regular_point", counting_point)
     monkeypatch.setattr(tsolve, "_solve", unused)
-    monkeypatch.setattr(tsolve, "is_unate", unused)
     assert enumerate_threshold_functions(4).count == 1882
     assert len(solved) == len(set(solved)) == 27
     solved.clear()
@@ -423,13 +423,13 @@ def _minimize_by_box(tt):
     # iterative deepening on the per-weight bound B, signs fixed by the
     # polarities: the first minimum found with sum|w| <= B + 1 is global
     n = tt.num_inputs
-    polarities = is_unate(tt).polarities
+    signs = polarities(tt)
     B = 0
     while True:
         B += 1
         best = None
         signed = {"+": range(0, B + 1), "-": range(-B, 1), "0": (0,)}
-        for w in itertools.product(*(signed[p] for p in polarities)):
+        for w in itertools.product(*(signed[p] for p in signs)):
             s = sum(map(abs, w))
             sums = [0]
             for wj in w:
@@ -465,9 +465,9 @@ def _minimize_by_compositions(tt):
     # signed by polarity; the first S that separates the table is minimal,
     # with T one above the largest false sum
     n = tt.num_inputs
-    polarities = is_unate(tt).polarities
+    signs = polarities(tt)
     chow = [abs(m) for m in chow_parameters(tt)[1]]
-    live = [j for j, p in enumerate(polarities) if p != "0"]
+    live = [j for j, p in enumerate(signs) if p != "0"]
     order = sorted(live, key=lambda j: -chow[j])  # strongest first
     if not order:
         return 0, (0,) * n, -n if tt.bits else 1
@@ -490,7 +490,7 @@ def _minimize_by_compositions(tt):
         for mags in parts(0, total, total, total):
             w = [0] * n
             for j, v in zip(order, mags):
-                w[j] = v if polarities[j] == "+" else -v
+                w[j] = v if signs[j] == "+" else -v
             sums = [0]
             for wj in w:
                 sums += [v + wj for v in sums]
@@ -629,7 +629,7 @@ def _assert_satisfies(posed, d, values):
 def _warm_start_cases():
     for f in range(1 << 16):
         tt = TruthTable(4, f)
-        if not isinstance(is_unate(tt), NotUnate):
+        if polarities(tt) is not None:
             yield tt
     rng = random.Random(53)
     for n in range(5, 9):
@@ -681,13 +681,14 @@ def test_warm_start_pivots_weights_1_to_10(lps):
 
 @pytest.mark.parametrize(
     "spec, lps_built",
-    [("3:0x96", 0), ("4:0xf888", 0), ("6:0xeaaaeaa8eaa8e880", 1)],
-    ids=["not-unate", "chow-irregular", "lp-refuted"],
+    [("3:0x96", 0), ("3:0xac", 0), ("4:0xf888", 0), ("6:0xeaaaeaa8eaa8e880", 1)],
+    ids=["not-unate", "mux", "chow-irregular", "lp-refuted"],
 )
 def test_refutations_build_at_most_one_lp(lps, spec, lps_built):
     # a non-unate table, and x0x1 | x2x3, which is unate but not regular in
-    # Chow order, are refuted by 4 rows of equal sums with no LP; a regular
-    # table that is not threshold is refuted by the one ordered LP
+    # Chow order, are refuted by 4 rows of equal sums with no LP; the mux
+    # x2 ? x0 : x1 is unate in x0 and x1 and crosses only x2, past them; a
+    # regular table that is not threshold is refuted by the one ordered LP
     n, bits = spec.split(":")
     tt = TruthTable(int(n), int(bits, 16))
     for solve in (solve_threshold, minimize_weights):
@@ -702,14 +703,18 @@ def test_refutations_build_at_most_one_lp(lps, spec, lps_built):
 
 
 def test_refute_checks_its_rows():
-    # XOR2: rows 1 and 2 are true, 0 and 3 false, and 1 + 2 = 0 + 3 bitwise
-    assert tsolve._refute(XOR2.bits, 1, 2, 0, 3) == NotThreshold(4)
-    for rows in ((0, 3, 1, 2), (1, 2, 0, 2), (1, 1, 0, 3)):
+    # XOR2 rises from row 0 and falls from row 2 across x0 (shift 1): rows 1
+    # and 2 are true, 0 and 3 false, and 1 + 2 = 0 + 3 bitwise; across x1
+    # (shift 2), from rows 0 and 1: rows 2 and 1 true, 0 and 3 false
+    assert tsolve._refute(XOR2.bits, 1, 0, 2) == NotThreshold(4)
+    assert tsolve._refute(XOR2.bits, 2, 0, 1) == NotThreshold(4)
+    for shift, up, down in ((1, 2, 0), (2, 0, 0), (1, 0, 1)):
         with pytest.raises(RuntimeError, match="do not refute"):
-            tsolve._refute(XOR2.bits, *rows)
-    # MAJ3: rows 3 and 5 are true, 1 and 4 false, but their sums differ
+            tsolve._refute(XOR2.bits, shift, up, down)
+    # rows 2 and 4 are true, 1 and 5 false, but 1 + 1 carries into x1, so
+    # their sums differ
     with pytest.raises(RuntimeError, match="do not refute"):
-        tsolve._refute(MAJ3.bits, 3, 5, 1, 4)
+        tsolve._refute(0x14, 1, 1, 4)
 
 
 @pytest.mark.parametrize("lost", [[], None])

@@ -66,6 +66,20 @@ def chow_parameters(tt):
     return 2 * on - tt.num_rows, m
 
 
+def polarities(tt):
+    """Per variable, '+' if raising it from 0 to 1 only ever raises the table,
+    '-' if it only ever lowers it, '0' if it never changes it; None if some
+    variable does both. Row by row, with no packed masks."""
+    n, f, signs = tt.num_inputs, tt.bits, ""
+    for j in range(n):
+        moves = {(f >> i & 1, f >> (i | 1 << j) & 1) for i in range(1 << n) if not i >> j & 1}
+        rises, falls = (0, 1) in moves, (1, 0) in moves
+        if rises and falls:
+            return None
+        signs += "+" if rises else "-" if falls else "0"
+    return signs
+
+
 def boundary_lp_verdict(n, f):
     """Whether the monotone n-input f is threshold, from one exact LP posed at
     once on all of its minimal true and maximal false rows under single-bit
