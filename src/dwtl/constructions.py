@@ -1,4 +1,4 @@
-"""Generators for the minority-gate adder circuits and a NAND baseline.
+"""Generators for the minority-gate adder circuits and a NOR2 baseline.
 
 Carry signals ride the chain in inverted form: the minority gate that would
 produce carry-out actually holds its complement, and downstream gates absorb
@@ -89,32 +89,37 @@ def ripple_adder(n_bits: int) -> Netlist:
 
 
 def nand_adder(n_bits: int) -> Netlist:
-    """Textbook nine-NAND-per-bit adder, NAND2 modeled as a minority gate.
+    """Baseline adder of nine NOR2 gates per bit: the ``nand`` style.
 
-    A two-input minority gate would tie, so NAND(x, y) is a fan-in-3 minority
-    gate with the third input pinned to the constant-1 netlist input.
+    It keeps the textbook nine-NAND full adder's wiring, but each gate is
+    MIN3(x, y, one), a fan-in-3 minority gate whose third input is pinned to
+    the constant-1 netlist input (a two-input minority gate would tie). That
+    gate is 1 only at x = y = 0, so it is NOR(x, y): Luo et al.'s
+    reconfigurable gate with its control at 1, which reads NAND at 0. NOR in
+    place of NAND makes every signal the dual of the NAND circuit's; sum and
+    carry are self-dual, so the adder still adds.
     """
     inputs, _ = adder_names(n_bits)
     inputs = inputs + [CONST_ONE]
     gates: list[GateDef] = []
     outputs: list[OutputDef] = []
 
-    def nand(name: str, x: str, y: str) -> str:
+    def nor(name: str, x: str, y: str) -> str:
         gates.append(GateDef(name, MIN3, (x, y, CONST_ONE)))
         return name
 
     carry = "cin"
     for i in range(n_bits):
         a, b = f"a{i}", f"b{i}"
-        t1 = nand(f"t1_{i}", a, b)
-        t2 = nand(f"t2_{i}", a, t1)
-        t3 = nand(f"t3_{i}", b, t1)
-        t4 = nand(f"t4_{i}", t2, t3)  # a xor b
-        t5 = nand(f"t5_{i}", t4, carry)
-        t6 = nand(f"t6_{i}", t4, t5)
-        t7 = nand(f"t7_{i}", carry, t5)
-        t8 = nand(f"t8_{i}", t6, t7)  # sum bit
-        t9 = nand(f"t9_{i}", t1, t5)  # carry out
+        t1 = nor(f"t1_{i}", a, b)
+        t2 = nor(f"t2_{i}", a, t1)
+        t3 = nor(f"t3_{i}", b, t1)
+        t4 = nor(f"t4_{i}", t2, t3)  # a xnor b
+        t5 = nor(f"t5_{i}", t4, carry)
+        t6 = nor(f"t6_{i}", t4, t5)
+        t7 = nor(f"t7_{i}", carry, t5)
+        t8 = nor(f"t8_{i}", t6, t7)  # sum bit
+        t9 = nor(f"t9_{i}", t1, t5)  # carry out
         outputs.append(OutputDef(f"sum{i}", t8))
         carry = t9
     outputs.append(OutputDef("cout", carry))

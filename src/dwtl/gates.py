@@ -34,18 +34,37 @@ def _weighted_at_least(
     fan-in and log sum|w|, not with the number of rows. Every source must lie
     within ``mask``.
 
+    A source that is 0 or is the ``mask`` object itself (a pinned input) is a
+    constant: it leaves the sum, and where y_j = 1 it lowers ``bound`` by
+    |w_j|. It is found by identity, in O(1); a source that only equals
+    ``mask`` is summed like any other. A bound of 1 over what is left is then
+    one OR pass, and a bound equal to the live total one AND pass.
+
     If negative weights outweigh the rest, sum(|w_j| * y_j) >= bound is read
     as not sum(|w_j| * (1 - y_j)) >= total - bound + 1, so that only the
     smaller sign group is complemented, and the result once, at the end.
     """
+    for src in srcs:
+        if src is mask or not src:
+            weights, srcs, bound = _fold(weights, srcs, mask, bound)
+            break
     total = sum(map(abs, weights))
-    sign = -1 if sum(weights) < 0 else 1
-    if sign < 0:
-        bound = total - bound + 1
-    invert = mask if sign < 0 else 0
+    if sum(weights) < 0:
+        sign, bound, invert = -1, total - bound + 1, mask
+    else:
+        sign, invert = 1, 0
     if bound <= 0:
         return mask ^ invert
-    top = max(bound, total).bit_length() - 1
+    if bound > total:
+        return invert
+    if bound == 1 or bound == total:  # any y_j, or every y_j, of nonzero weight
+        acc = 0 if bound == 1 else mask
+        for w, src in zip(weights, srcs):
+            if w:
+                y = src ^ mask if w * sign < 0 else src
+                acc = acc | y if bound == 1 else acc & y
+        return acc ^ invert
+    top = total.bit_length() - 1
     digits = [0] * (top + 1)
     for w, src in zip(weights, srcs):
         y = src ^ mask if w * sign < 0 else src
@@ -74,6 +93,22 @@ def _weighted_at_least(
             greater |= t
             equal ^= t
     return (greater | equal) ^ invert
+
+
+def _fold(
+    weights: Sequence[int], srcs: Sequence[int], mask: int, bound: int
+) -> tuple[list[int], list[int], int]:
+    """The weights and sources left once each 0 or ``mask`` source leaves the
+    sum, and ``bound`` less |w_j| for each of those with y_j = 1."""
+    live_w, live_srcs = [], []
+    for w, src in zip(weights, srcs):
+        if src is mask or not src:
+            if (src is mask) is (w > 0):  # y_j = 1
+                bound -= abs(w)
+        else:
+            live_w.append(w)
+            live_srcs.append(src)
+    return live_w, live_srcs, bound
 
 
 def _all_rows(fan_in: int) -> tuple[list[int], int]:

@@ -14,7 +14,10 @@ from collections.abc import Callable, Mapping
 from functools import cached_property
 
 from .gates import SpinMinorityGate
-from .table import DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, Record, TruthTable, input_patterns
+from .table import (
+    DEFAULT_SAMPLE_VECTORS, DEFAULT_SEED, MAX_SAMPLE_VECTORS, Record, TruthTable,
+    input_patterns,
+)
 
 TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
 if TYPE_CHECKING:
@@ -76,7 +79,8 @@ class Netlist(Record):
         vector. Returns one packed integer per output. The netlist's first
         violation (``_plan``) raises before any gate runs. Each signal is
         dropped after its last reader unless an output reads it. A name that is
-        not a free input raises ``NetlistError``.
+        not a free input raises ``NetlistError``. The pinned ``one`` is the row
+        mask object itself, which the gate kernel folds into each reader's bound.
         """
         if extra := patterns.keys() - self.free_inputs:
             raise NetlistError(f"unknown inputs: {sorted(extra)}")
@@ -89,8 +93,9 @@ class Netlist(Record):
                 values[name] = p if 0 <= p <= mask else p & mask
         except KeyError as exc:
             raise NetlistError(f"missing value for input '{exc.args[0]}'") from None
+        read = values.__getitem__  # a list comprehension would cost a frame per gate
         for gdef, dead in zip(self.gates, dead_after):
-            srcs = [values[r] for r in gdef.refs]
+            srcs = list(map(read, gdef.refs))
             values[gdef.name] = gdef.gate.eval_patterns(srcs, mask)
             for name in dead:
                 del values[name]
@@ -210,10 +215,16 @@ def check_equivalence_sampled(
 
     ``reference(patterns, width)`` must return expected packed output patterns
     for the same bit-parallel input patterns the netlist sees. The corner
-    vectors are all-zeros, all-ones, and each single-hot input.
+    vectors are all-zeros, all-ones, and each single-hot input. Each input
+    draws ``num_vectors`` bits, so a count above ``MAX_SAMPLE_VECTORS`` (2^24)
+    is refused before any draw.
     """
     if num_vectors < 0:
         raise NetlistError(f"number of vectors must be non-negative, got {num_vectors}")
+    if num_vectors > MAX_SAMPLE_VECTORS:
+        raise NetlistError(
+            f"number of vectors must be at most {MAX_SAMPLE_VECTORS}, got {num_vectors}"
+        )
     if seed < 0:
         # random.Random(-s) draws the same vectors as Random(s)
         raise NetlistError(f"seed must be non-negative, got {seed}")

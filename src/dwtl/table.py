@@ -12,9 +12,11 @@ MAX_INPUTS = 24  # exhaustive tables and sweeps
 SOLVE_MAX_INPUTS = 10
 ENUMERATE_MAX_INPUTS = 5
 
-# past MAX_INPUTS, verification samples seeded random vectors instead
+# past MAX_INPUTS, verification samples seeded random vectors instead; each
+# input draws one bit per vector, at most as many as the widest table's rows
 DEFAULT_SEED = 0xD0DA11
 DEFAULT_SAMPLE_VECTORS = 100_000
+MAX_SAMPLE_VECTORS = 1 << MAX_INPUTS
 
 
 class TooManyInputsError(ValueError):

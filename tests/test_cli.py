@@ -159,6 +159,20 @@ def test_verify_refuses_negative_vector_count(tmp_path, capsys):
     assert "number of vectors must be non-negative, got -1" in err
 
 
+def test_verify_refuses_a_vector_count_past_the_ceiling(tmp_path, capsys):
+    # 10^10 vectors would draw about 1.25 GB per input: refused, exit 2
+    path = tmp_path / "fa64.dwtl"
+    assert run(["gen", "adder", "--bits", "64", "--style", "nand",
+                "-o", str(path)]) == 0
+    assert run(["verify", str(path), "--spec", "adder:64",
+                "--vectors", "10000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: number of vectors must be at most 16777216, got 10000000000\n"
+    )
+    assert captured.out == ""
+
+
 def test_verify_refuses_negative_seed(tmp_path, capsys):
     path = tmp_path / "fa12.dwtl"
     assert run(["gen", "adder", "--bits", "12", "--style", "weighted",

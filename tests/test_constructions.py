@@ -4,6 +4,7 @@ import time
 import pytest
 
 from dwtl import (
+    CONST_ONE,
     GateDef,
     Netlist,
     OutputDef,
@@ -20,7 +21,7 @@ from dwtl.constructions import (
     nand_adder,
     ripple_adder,
 )
-from dwtl.table import assignment_of
+from dwtl.table import assignment_of, input_patterns
 from tests_util import SUM4, spin_eval
 
 
@@ -150,8 +151,31 @@ def test_nand_adder_equivalent():
 
 
 def test_nand_adder_gate_count():
-    # classical 9-NAND construction; the paper-claim report still uses 15
+    # the classical 9-NAND wiring; the paper-claim report still uses 15
     assert nand_adder(1).gate_count == 9
+
+
+def test_nand_style_gates_are_nor2():
+    # MIN3(x, y, one) is 1 only at x = y = 0: each gate of the "nand" style
+    # is NOR of its two free refs, on every row
+    net = nand_adder(1)
+    probe = Netlist(
+        net.inputs, net.gates, tuple(OutputDef(g.name, g.name) for g in net.gates)
+    )
+    tables = probe.truth_tables()
+    signal = dict(zip(net.free_inputs, input_patterns(3)))
+    signal.update((name, tt.bits) for name, tt in tables.items())
+    for g in net.gates:
+        assert g.gate == MIN3 and g.refs[2] == CONST_ONE
+        x, y = (signal[r] for r in g.refs[:2])
+        assert tables[g.name].bits == (x | y) ^ 0xFF, g.name
+
+
+def test_nand_style_report_counts_the_pinned_refs():
+    # fanin_sum counts each gate's ``one`` ref, and ``one`` has the top fanout
+    rep = cost_report(nand_adder(3), 45)
+    assert (rep.gate_count, rep.fanin_sum, rep.max_fanout, rep.depth) == (27, 81, 27, 10)
+    assert (rep.inverted_outputs, rep.reduction_one_decimal()) == (0, "40.0")
 
 
 def test_reduction_claims():

@@ -233,10 +233,14 @@ def test_tables_and_ties_match_direct_sums_random():
 def test_weighted_at_least_matches_row_sums_on_wide_operands():
     # the kernel against a row-by-row sum, on operands of up to 300 rows;
     # each sign split is drawn, since more negative than positive magnitude
-    # takes the complemented branch and the rest the direct one
+    # takes the complemented branch and the rest the direct one. Constant
+    # sources, 0 and the ``mask`` object itself, are put in at random places
+    # with every sign and magnitude; the kernel folds them into its bound,
+    # and sums an equal copy of ``mask`` like any other source
     rng = random.Random(29)
     magnitudes = [0, 1, 2, 3, 5, 8, 1 << 40]
     splits = {"negative": 0, "equal": 0, "positive": 0}
+    folded = set()
     for trial in range(150):
         split = list(splits)[trial % 3]
         n = rng.randint(1, 6)
@@ -249,7 +253,18 @@ def test_weighted_at_least_matches_row_sums_on_wide_operands():
         s = sum(weights)
         splits["negative" if s < 0 else "equal" if s == 0 else "positive"] += 1
         width = rng.randint(1, 300)
+        mask = (1 << width) - 1
         srcs = [rng.getrandbits(width) for _ in weights]
+        live_total = sum(map(abs, weights))
+        ones = 0  # the magnitude of the constant sources with y_j = 1
+        for _ in range(rng.randint(0, 3)):
+            j = rng.randint(0, len(weights))
+            w = rng.choice(magnitudes) * rng.choice((-1, 1))
+            src = rng.choice((0, mask, int(str(mask))))
+            weights.insert(j, w)
+            srcs.insert(j, src)
+            ones += abs(w) * ((src == mask) != (w < 0))
+            folded.add((src == mask, src is mask or not src, (w > 0) - (w < 0)))
         row_sums = [
             sum(
                 abs(w) * (((src >> v) & 1) ^ (w < 0))
@@ -258,10 +273,16 @@ def test_weighted_at_least_matches_row_sums_on_wide_operands():
             for v in range(width)
         ]
         total = sum(map(abs, weights))
-        for bound in (-5, 0, 1, total // 2, total // 2 + 1, total, total + 1):
-            got = _weighted_at_least(weights, srcs, (1 << width) - 1, bound)
+        # the last two are a folded bound of 1 and of the live total
+        for bound in (
+            -5, 0, 1, total // 2, total // 2 + 1, total, total + 1,
+            ones + 1, ones + live_total,
+        ):
+            got = _weighted_at_least(weights, srcs, mask, bound)
             assert got == sum(1 << v for v, r in enumerate(row_sums) if r >= bound)
     assert splits == {"negative": 50, "equal": 50, "positive": 50}
+    kinds = ((False, True), (True, True), (True, False))  # (== mask, folded): 0, mask, copy
+    assert folded == {(*kind, sign) for kind in kinds for sign in (-1, 0, 1)}
 
 
 def test_sweeps_above_the_ceiling_refused():

@@ -454,6 +454,38 @@ def test_truth_tables_passthrough():
         pinned.truth_tables()
 
 
+def test_pinned_one_gates_match_a_scalar_sum():
+    # gates that read ``one`` twice, only ``one``, or ``one`` at weights +/-2
+    # and +/-3, and gates that read a constant gate, against spin_eval with
+    # one = 1: the kernel folds each constant source into its bound
+    gates = (
+        ("twice", (1, -1, 1, 1, -1), ("a", "one", "b", "one", "c")),
+        ("only0", (1, -2), ("one", "one")),
+        ("only1", (3,), ("one",)),
+        ("p2", (2, -1, -1, 1), ("one", "a", "b", "only0")),
+        ("m2", (-2, 1, 1, 1), ("one", "a", "b", "c")),
+        ("p3", (3, -1, -1, -1, -1), ("one", "a", "b", "c", "p2")),
+        ("m3", (1, -3, 1, 1, 1), ("only1", "one", "a", "m2", "c")),
+        ("reads0", (1, 1, 1), ("only0", "a", "b")),
+    )
+    net = Netlist(
+        inputs=("a", "one", "b", "c"),
+        gates=tuple(GateDef(n, SpinMinorityGate(w), refs) for n, w, refs in gates),
+        outputs=tuple(OutputDef(f"y_{n}", n) for n, _, _ in gates),
+    )
+    tables = net.truth_tables()
+    for row in range(8):
+        x = {"a": row & 1, "b": row >> 1 & 1, "c": row >> 2 & 1}
+        values = {**x, "one": 1}
+        for name, weights, refs in gates:
+            values[name] = spin_eval(weights, [values[r] for r in refs])
+        want = {f"y_{n}": values[n] for n, _, _ in gates}
+        assert {o: t.bits >> row & 1 for o, t in tables.items()} == want, x
+        assert net.evaluate(x) == want, x
+    assert (tables["y_only0"].bits, tables["y_only1"].bits) == (0, 0xFF)
+    assert tables["y_p2"].bits == 0x77 and tables["y_m2"].bits == 0x80
+
+
 def test_output_invert_complements_table():
     net = single_gate_net(MIN3, 3)
     flipped = Netlist(net.inputs, net.gates, (OutputDef("y", "g", invert=True),))
@@ -553,6 +585,21 @@ def test_sampled_equivalence_refuses_negative_vector_count():
     with pytest.raises(NetlistError, match="got -1"):
         check_equivalence_sampled(
             ripple_adder(4), adder_reference_patterns(4), num_vectors=-1
+        )
+
+
+def test_sampled_equivalence_refuses_a_count_past_the_ceiling():
+    # each input would draw num_vectors bits: the count is refused before any draw
+    from dwtl.table import MAX_SAMPLE_VECTORS
+
+    assert MAX_SAMPLE_VECTORS == 1 << 24
+    with pytest.raises(NetlistError, match=f"at most {1 << 24}, got {10**10}$"):
+        check_equivalence_sampled(
+            nand_adder(64), adder_reference_patterns(64), num_vectors=10**10
+        )
+    with pytest.raises(NetlistError, match=f"got {(1 << 24) + 1}$"):
+        check_equivalence_sampled(
+            ripple_adder(4), adder_reference_patterns(4), num_vectors=(1 << 24) + 1
         )
 
 
