@@ -106,10 +106,12 @@ def _parse_spec(spec: str):
 
 def _cmd_verify(args) -> int:
     from . import constructions
-    from .netlist import NetlistError, check_equivalence, check_equivalence_sampled
+    from .netlist import NetlistError, _check_sampling, check_equivalence
+    from .netlist import check_equivalence_sampled
 
     net = _load_netlist(args.netlist)
     kind, spec = _parse_spec(args.spec)
+    _check_sampling(args.seed, args.vectors)  # whichever mode the netlist gets
     n_free = len(net.free_inputs)
     if kind == "adder":
         expect_inputs, _ = constructions.adder_names(spec)

@@ -205,6 +205,19 @@ def check_equivalence(
     return _compare(net, patterns, 1 << n, want, "exhaustive")
 
 
+def _check_sampling(seed: int, num_vectors: int) -> None:
+    """Refuse a seed or vector count that sampling cannot use: ``NetlistError``."""
+    if num_vectors < 0:
+        raise NetlistError(f"number of vectors must be non-negative, got {num_vectors}")
+    if num_vectors > MAX_SAMPLE_VECTORS:
+        raise NetlistError(
+            f"number of vectors must be at most {MAX_SAMPLE_VECTORS}, got {num_vectors}"
+        )
+    if seed < 0:
+        # random.Random(-s) draws the same vectors as Random(s)
+        raise NetlistError(f"seed must be non-negative, got {seed}")
+
+
 def check_equivalence_sampled(
     net: Netlist,
     reference: Callable[[Mapping[str, int], int], Mapping[str, int]],
@@ -219,15 +232,7 @@ def check_equivalence_sampled(
     draws ``num_vectors`` bits, so a count above ``MAX_SAMPLE_VECTORS`` (2^24)
     is refused before any draw.
     """
-    if num_vectors < 0:
-        raise NetlistError(f"number of vectors must be non-negative, got {num_vectors}")
-    if num_vectors > MAX_SAMPLE_VECTORS:
-        raise NetlistError(
-            f"number of vectors must be at most {MAX_SAMPLE_VECTORS}, got {num_vectors}"
-        )
-    if seed < 0:
-        # random.Random(-s) draws the same vectors as Random(s)
-        raise NetlistError(f"seed must be non-negative, got {seed}")
+    _check_sampling(seed, num_vectors)
     names = net.free_inputs
     n = len(names)
     rng = random.Random(seed)

@@ -1,9 +1,9 @@
 """Single-gate threshold realizability: exact LP solver and weight synthesis.
 
 Realizability of a truth table as [sum(w_i x_i) >= T] is decided by an
-exact phase-1 simplex with Bland's rule, so an infeasible answer is a
+exact dual simplex with Bland's rule, so an infeasible answer is a
 terminating proof rather than a search timeout, and minimal weights come
-from the same LP, continued by a lexicographic phase 2. Strict separation
+from the same LP, continued by lexicographic primal stages. Strict separation
 is posed with integer margin 1: on-set rows satisfy sum(w x) >= T and
 off-set rows satisfy sum(w x) <= T - 1.
 
@@ -51,8 +51,8 @@ class _SeparationLP:
     s >= 0: r.v + s = rhs. Pivots are fraction-free (Edmonds/Bareiss):
     ``rows`` hold the true tableau times ``d``, the determinant of the
     current basis, with the RHS first, and every update divides exactly by
-    the previous d. The tableau, basis and phase-1 objective row persist
-    between solves: ``add`` writes a new row in terms of the current basis
+    the previous d. The tableau and basis persist between solves: ``add``
+    writes a new row in terms of the current basis, with its slack basic,
     and ``solve`` pivots on from wherever the basis stands, so a cold start
     is only rows added before the first solve. ``pivots`` counts the pivots
     made so far.
@@ -63,62 +63,55 @@ class _SeparationLP:
         self.d = 1
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
-        self.obj = [0] * (nv + 1)  # reduced costs of the sum of artificials, times d
         self.pivots = 0
 
     def _in_basis(self, r: list[int], rhs: int) -> list[int]:
         """d * (rhs, r) less each basic entry of r times its row (exact: basic
         columns hold d). A cost row (rhs 0) gives -cost, then reduced costs."""
         d, nv = self.d, self.nv
-        new = [d * rhs] + [d * v for v in r] + [0] * (len(self.obj) - nv - 1)
+        new = [d * rhs] + [d * v for v in r] + [0] * len(self.rows)
         for b, row in zip(self.basis, self.rows):
             if b <= nv and r[b - 1]:
                 new = [x - r[b - 1] * y for x, y in zip(new, row)]
         return new
 
     def add(self, r: list[int], rhs: int) -> None:
-        """Pose r . v <= rhs. Its slack, worth d, is basic if the RHS is >= 0;
-        otherwise the row is negated and gets an artificial column worth d
-        instead, and the objective row loses the row."""
-        d, new = self.d, self._in_basis(r, rhs)
-        if new[0] < 0:  # slack -d, artificial d at cost d
-            new = [-x for x in new] + [-d, d]
-            self.obj = [o - x for o, x in zip(self.obj, new)] + [d, 0]
-        else:
-            new.append(d)
-            self.obj.append(0)
+        """Pose r . v <= rhs, its slack basic and worth d: negative if the
+        current point breaks the row, until ``solve`` restores it."""
+        new = self._in_basis(r, rhs) + [self.d]
         for row in self.rows:
-            row += [0] * (len(new) - len(row))
+            row.append(0)
         self.basis.append(len(new) - 1)
         self.rows.append(new)
 
     def solve(self, costs: Sequence[list[int]] = ()) -> list[int]:
-        """Pivot to the phase-1 optimum, then to the minimum of each of ``costs``
-        in turn (lexicographic: each prices only the columns at 0 in every
-        objective before it, so those, phase 1 among them, stay optimal).
-        Returns a feasible v times d, or [] if a positive phase-1 optimum
-        proves the rows infeasible."""
-        cols = range(1, len(self.obj))
-        price = self._descend([self.obj], cols)
-        if price[0]:
-            return []
+        """Restore each broken row (RHS < 0) by dual steps at zero cost, Bland's
+        rule: the lowest basic column leaves, the lowest column negative in its
+        row enters. Then pivot to the minimum of each of ``costs`` in turn, each
+        priced only on the columns at 0 in every cost before it, so those stay
+        optimal. Returns a feasible v times d, or [] if a broken row has no
+        negative entry: its slack entries weigh the rows into 0 <= r.v <= rhs < 0."""
+        rows, basis = self.rows, self.basis
+        while broken := [(b, i) for i, b in enumerate(basis) if rows[i][0] < 0]:
+            leave = min(broken)[1]
+            enter = next((k for k, a in enumerate(rows[leave]) if k and a < 0), 0)
+            if not enter:
+                return []
+            self._pivot(leave, enter)
+        cols = range(1, self.nv + len(rows) + 1)
         for c in costs:
-            cols = [k for k in cols if not price[k]]
-            if set(cols) <= set(self.basis):  # no pivot left: the optimum is one point
+            if set(cols) <= set(basis):  # no pivot left: the optimum is one point
                 break
-            price = self._descend([self.obj, self._in_basis(c, 0)], cols)
-        basic = {b: row[0] for row, b in zip(self.rows, self.basis)}
+            price = self._descend(self._in_basis(c, 0), cols)
+            cols = [k for k in cols if not price[k]]
+        basic = {b: row[0] for row, b in zip(rows, basis)}
         return [basic.get(k, 0) for k in range(1, self.nv + 1)]
 
-    def _descend(self, objs: list[list[int]], cols: Sequence[int]) -> list[int]:
-        """Bland's rule on the last of ``objs`` over ``cols``, to its minimum;
-        every row of ``objs`` (phase 1 first) follows the basis."""
-        rows, basis, d = self.rows, self.basis, self.d
-        while True:
-            price = objs[-1]
-            enter = next((k for k in cols if price[k] < 0), 0)
-            if not enter:
-                break
+    def _descend(self, cost: list[int], cols: Sequence[int]) -> list[int]:
+        """Bland's rule on the row ``cost`` over ``cols``: pivots to its
+        minimum and returns its reduced costs there."""
+        rows, basis, price = self.rows, self.basis, [cost]
+        while enter := next((k for k in cols if price[0][k] < 0), 0):
             leave = -1
             for i, row in enumerate(rows):
                 a = row[enter]
@@ -128,20 +121,23 @@ class _SeparationLP:
                     leave = i
             if leave < 0:
                 raise RuntimeError("simplex objective unbounded; formulation bug")
-            piv_row = rows[leave]
-            p = piv_row[enter]
-            for i, row in enumerate(rows):
+            self._pivot(leave, enter, price)
+        return price[0]
+
+    def _pivot(self, leave: int, enter: int, price: list | tuple = ()) -> None:
+        """Make ``enter`` basic in row ``leave``, each cost row in ``price`` too;
+        a negative pivot (a dual step) negates its row first, so d stays > 0."""
+        rows, d = self.rows, self.d
+        if rows[leave][enter] < 0:
+            rows[leave] = [-x for x in rows[leave]]
+        piv_row, p = rows[leave], rows[leave][enter]
+        for tab in rows, price:
+            for i, row in enumerate(tab):
                 f = row[enter]
-                if i != leave and (f or p != d):
-                    rows[i] = [(v * p - f * q) // d for v, q in zip(row, piv_row)]
-            for i, o in enumerate(objs):
-                f = o[enter]
-                objs[i] = [(v * p - f * q) // d for v, q in zip(o, piv_row)]
-            d = p
-            basis[leave] = enter
-            self.pivots += 1
-        self.obj, self.d = objs[0], d
-        return price
+                if row is not piv_row and (f or p != d):
+                    tab[i] = [(v * p - f * q) // d for v, q in zip(row, piv_row)]
+        self.d, self.basis[leave] = p, enter
+        self.pivots += 1
 
 
 def _lexmin(lp: _SeparationLP, costs: list[list[int]], ceiling: int) -> list[int] | None:
@@ -281,9 +277,9 @@ def solve_threshold(tt: TruthTable) -> ThresholdRealization | NotThreshold:
 
 def minimize_weights(tt: TruthTable) -> ThresholdRealization | NotThreshold:
     """Realization with minimal total |w|, ties broken lexicographically,
-    from the LP's phase 2 (``_solve``), or proof that none exists. '0'
-    variables get weight 0; a constant table gets zero weights and T = 1
-    (for 0) or -n (for 1).
+    from the LP's lexicographic stages (``_solve``), or proof that none
+    exists. '0' variables get weight 0; a constant table gets zero weights
+    and T = 1 (for 0) or -n (for 1).
     """
     return _solve(tt, minimize=True)
 
@@ -320,7 +316,7 @@ def _regular_point(
     boundary = rest = _extremal(f, patterns, swaps)
     for _ in range(m + 1):
         rest &= rest - 1
-    new, posed, stage, ceiling = boundary ^ rest, 0, [], 0  # the first stage: phase 1
+    new, posed, stage, ceiling = boundary ^ rest, 0, [], 0  # first: feasibility alone
     lp = _SeparationLP(m + 1)
     while True:
         posed |= new

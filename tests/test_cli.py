@@ -184,6 +184,28 @@ def test_verify_refuses_negative_seed(tmp_path, capsys):
     assert "seed=0x-5" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        (["--vectors", "-1"], "number of vectors must be non-negative, got -1"),
+        (["--vectors", "99999999999999", "--seed", "-4"],
+         "number of vectors must be at most 16777216, got 99999999999999"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+    ],
+    ids=["negative-count", "huge-count", "negative-seed"],
+)
+def test_verify_refuses_bad_sampling_options_on_an_exhaustive_check(
+    tmp_path, capsys, options, error
+):
+    # a 2-bit adder (5 inputs) is checked exhaustively and draws no vector,
+    # but the options are refused as on the sampled path, not ignored
+    path = tmp_path / "a2.dwtl"
+    assert run(["gen", "adder", "--bits", "2", "--style", "nand", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(path), "--spec", "adder:2", *options]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("seed", ["abc", "010", "0x"])
 def test_verify_refuses_a_seed_that_is_no_integer(tmp_path, capsys, seed):
     # int(s, 0) refuses 010 (a leading zero is no decimal literal); the

@@ -596,12 +596,28 @@ def test_minimize_random_six_inputs_keep_chow_order():
 ColdLP = tsolve._SeparationLP
 
 
+def _assert_farkas(lp):
+    # an infeasible answer leaves a row with a negative RHS and no negative
+    # entry; its slack entries y, one per posed row in order, weigh the rows
+    # into a contradiction: y >= 0, sum y.r >= 0 in every column, sum y.rhs < 0
+    row = next(row for row in lp.rows if row[0] < 0 and min(row[1:]) >= 0)
+    y = row[1 + lp.nv :]
+    assert len(y) == len(lp.posed) and min(y) >= 0
+    for j in range(lp.nv):
+        assert sum(w * r[j] for w, (r, _) in zip(y, lp.posed)) >= 0
+    assert sum(w * rhs for w, (_, rhs) in zip(y, lp.posed)) < 0
+
+
 @pytest.fixture
 def lps(monkeypatch):
-    """Every LP the solver builds, with the rows posed and its last answer."""
+    """Every LP the solver builds, with the rows posed and its last answer;
+    each infeasible answer is checked by its Farkas row, and the LPs that
+    gave one (branches of ``_lexmin`` included) are in ``refuted``."""
     made = []
 
     class RecordingLP(ColdLP):
+        refuted = []
+
         def __init__(self, nv):
             super().__init__(nv)
             self.posed = []
@@ -613,6 +629,9 @@ def lps(monkeypatch):
 
         def solve(self, costs=()):
             self.last = super().solve(costs)
+            if self.last == []:
+                _assert_farkas(self)
+                self.refuted.append(self)
             return self.last
 
     monkeypatch.setattr(tsolve, "_SeparationLP", RecordingLP)
@@ -672,11 +691,31 @@ def test_warm_start_agrees_with_cold_start(lps):
 
 
 def test_warm_start_pivots_weights_1_to_10(lps):
-    # 475 pivots over 26 cold solves before the warm start, 29 with it
+    # 475 pivots over 26 cold solves before the warm start; on one warm LP
+    # over ordered weights, 15 with a phase-1 objective, 11 with dual steps
     tt = ThresholdGate(tuple(range(1, 11)), 28).truth_table()
     assert isinstance(solve_threshold(tt), ThresholdRealization)
     (lp,) = lps
-    assert lp.pivots <= 60
+    assert lp.pivots <= 11
+
+
+def test_every_infeasible_lp_has_a_farkas_row(lps, monkeypatch):
+    # the 60 regular functions of 6 inputs that are not threshold, every 20th
+    # regular function of 7, and the grid search's infeasible LPs and branches
+    refuted, counts = tsolve._SeparationLP.refuted, []
+    for n, step in ((6, 1), (7, 20)):
+        patterns = input_patterns(n)
+        swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
+        refuted.clear()
+        for f in tsolve._ordered_regular(n)[::step]:
+            point = tsolve._regular_point(f, patterns, swaps)
+            assert isinstance(point, NotThreshold) == (lps[-1] in refuted), hex(f)
+        counts.append(len(refuted))
+    refuted.clear()
+    monkeypatch.setitem(globals(), "ColdLP", tsolve._SeparationLP)  # the recording LP
+    test_lexmin_matches_a_grid_search()
+    counts.append(len(refuted))
+    assert counts == [60, 781, 133]
 
 
 @pytest.mark.parametrize(
