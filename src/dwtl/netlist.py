@@ -30,9 +30,14 @@ class NetlistError(ValueError):
     """Structural or usage error on a netlist operation."""
 
 
+def _is_name(name: str) -> bool:
+    """Whether the text format can write ``name``: [A-Za-z_][A-Za-z0-9_]*."""
+    return name.isascii() and name.isidentifier()
+
+
 def _named(name: str) -> str:
-    """``name``, if the text format can write it: [A-Za-z_][A-Za-z0-9_]*."""
-    if name.isascii() and name.isidentifier():
+    """``name``, if ``_is_name``, else NetlistError."""
+    if _is_name(name):
         return name
     raise NetlistError(f"invalid name '{name}'")
 

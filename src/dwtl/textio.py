@@ -23,8 +23,7 @@ TYPE_CHECKING = False  # not typing.TYPE_CHECKING: importing typing costs 3-4 ms
 if TYPE_CHECKING:
     from .netlist import Netlist
 
-NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-WEIGHT_RE = re.compile(r"^w=(-?\d+):([A-Za-z_][A-Za-z0-9_]*)$")
+WEIGHT_RE = re.compile(r"^w=(-?\d+):(.*)$")  # its reference must pass _is_name
 TOKEN_RE = re.compile(r"\S+")
 TT_RE = re.compile(r"^\s*(\d+):(?:0[xX])?([0-9a-fA-F]+)\s*$")
 
@@ -40,7 +39,7 @@ class ParseError(ValueError):
 
 
 def parse_netlist(text: str) -> Netlist:
-    from .netlist import GateDef, Netlist, OutputDef  # here: truth tables need no netlist
+    from .netlist import GateDef, Netlist, OutputDef, _is_name  # here: tables need none
 
     inputs: list[str] = []
     gates: list[GateDef] = []
@@ -66,7 +65,7 @@ def parse_netlist(text: str) -> Netlist:
             if len(tokens) != 2:
                 raise error(0, "expected: input <name>")
             name = tokens[1]
-            if not NAME_RE.match(name):
+            if not _is_name(name):
                 raise error(1, f"invalid name '{name}'")
             if name in defined:
                 raise error(1, f"duplicate name '{name}'")
@@ -77,7 +76,7 @@ def parse_netlist(text: str) -> Netlist:
             if len(tokens) < 3:
                 raise error(0, "expected: gate <name> ...")
             name = tokens[1]
-            if not NAME_RE.match(name):
+            if not _is_name(name):
                 raise error(1, f"invalid name '{name}'")
             if name in defined:
                 raise error(1, f"duplicate name '{name}'")
@@ -92,7 +91,7 @@ def parse_netlist(text: str) -> Netlist:
                 refs, weights_list = [], []
                 for k, tok in enumerate(tokens[2:], 2):
                     m = WEIGHT_RE.match(tok)
-                    if not m:
+                    if not (m and _is_name(m.group(2))):
                         raise error(k, f"expected w=<int>:<ref>, got '{tok}'")
                     w = int(m.group(1))
                     if w == 0:
@@ -124,14 +123,14 @@ def parse_netlist(text: str) -> Netlist:
             if len(tokens) != 4 or tokens[2] != "=":
                 raise error(0, "expected: output <name> = [!]<ref>")
             name = tokens[1]
-            if not NAME_RE.match(name):
+            if not _is_name(name):
                 raise error(1, f"invalid name '{name}'")
             if name in out_names:
                 raise error(1, f"duplicate output name '{name}'")
             target = tokens[3]
             invert = target.startswith("!")
             ref = target[1:] if invert else target
-            if not NAME_RE.match(ref):
+            if not _is_name(ref):
                 raise error(3, f"invalid reference '{ref}'", invert)
             if ref not in defined:
                 raise error(3, f"unknown reference '{ref}'", invert)

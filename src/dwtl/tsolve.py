@@ -77,8 +77,10 @@ class _SeparationLP:
 
     def add(self, r: list[int], rhs: int) -> None:
         """Pose r . v <= rhs, its slack basic and worth d: negative if the
-        current point breaks the row, until ``solve`` restores it."""
-        new = self._in_basis(r, rhs) + [self.d]
+        current point breaks the row, until ``solve`` restores it. Before the
+        first pivot (d = 1, only slacks basic) it is written as posed."""
+        new = self._in_basis(r, rhs) if self.pivots else [rhs, *r] + [0] * len(self.rows)
+        new.append(self.d)
         for row in self.rows:
             row.append(0)
         self.basis.append(len(new) - 1)
@@ -87,15 +89,23 @@ class _SeparationLP:
     def solve(self, costs: Sequence[list[int]] = ()) -> list[int]:
         """Restore each broken row (RHS < 0) by dual steps at zero cost, Bland's
         rule: the lowest basic column leaves, the lowest column negative in its
-        row enters. Then pivot to the minimum of each of ``costs`` in turn, each
-        priced only on the columns at 0 in every cost before it, so those stay
-        optimal. Returns a feasible v times d, or [] if a broken row has no
-        negative entry: its slack entries weigh the rows into 0 <= r.v <= rhs < 0."""
+        row enters, each found by one scan. Then pivot to the minimum of each of
+        ``costs`` in turn, each priced only on the columns at 0 in every cost
+        before it, so those stay optimal. Returns a feasible v times d, or [] if
+        a broken row has no negative entry: its slack entries weigh the rows
+        into 0 <= r.v <= rhs < 0."""
         rows, basis = self.rows, self.basis
-        while broken := [(b, i) for i, b in enumerate(basis) if rows[i][0] < 0]:
-            leave = min(broken)[1]
-            enter = next((k for k, a in enumerate(rows[leave]) if k and a < 0), 0)
-            if not enter:
+        while True:
+            leave = -1
+            for i, row in enumerate(rows):
+                if row[0] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+            if leave < 0:
+                break
+            for enter, a in enumerate(rows[leave]):
+                if a < 0 and enter:
+                    break
+            else:
                 return []
             self._pivot(leave, enter)
         cols = range(1, self.nv + len(rows) + 1)
@@ -126,16 +136,19 @@ class _SeparationLP:
 
     def _pivot(self, leave: int, enter: int, price: list | tuple = ()) -> None:
         """Make ``enter`` basic in row ``leave``, each cost row in ``price`` too;
-        a negative pivot (a dual step) negates its row first, so d stays > 0."""
+        a negative pivot (a dual step) negates its row first, so d stays > 0.
+        A row with 0 in ``enter`` is only rescaled by p / d, and kept if p = d."""
         rows, d = self.rows, self.d
         if rows[leave][enter] < 0:
             rows[leave] = [-x for x in rows[leave]]
         piv_row, p = rows[leave], rows[leave][enter]
-        for tab in rows, price:
+        for tab in (rows, price) if price else (rows,):
             for i, row in enumerate(tab):
                 f = row[enter]
-                if row is not piv_row and (f or p != d):
+                if f and row is not piv_row:
                     tab[i] = [(v * p - f * q) // d for v, q in zip(row, piv_row)]
+                elif not f and p != d:
+                    tab[i] = [v * p // d for v in row]
         self.d, self.basis[leave] = p, enter
         self.pivots += 1
 
@@ -305,14 +318,18 @@ def _regular_point(
     """Weights w_0 >= w_1 >= ... >= 0 and T realizing the ordered-regular f, or
     the rows that refute it: a regular threshold function has ordered weights.
     The LP's variables are steps d_k >= 0, w_j = d_j + ... + d_{m-1} over the
-    essential x_0..x_{m-1} (a prefix), then T, so a row's d_k coefficient is its
-    ones among x_0..x_k. Ordered weights keep the sum monotone in the order of
-    ``_extremal``, so its rows decide the LP: it starts from the lowest m + 1
-    and adds the lowest one the integer candidate gets wrong until that equals
-    f. With ``costs``, the point goes on to their lexicographic integer minimum
-    on the same LP, its sum |w| as ceiling."""
+    essential x_0..x_{m-1} (a prefix, so m is found scanning down from x_{n-1}),
+    then T, so row i's d_k coefficient is its ones among x_0..x_k: the bit count
+    of i under the mask 2^(k+1) - 1. Ordered weights keep the sum monotone in
+    the order of ``_extremal``, so its rows decide the LP: it starts from the
+    lowest m + 1 and adds the lowest one the integer candidate gets wrong until
+    that equals f. With ``costs``, the point goes on to their lexicographic
+    integer minimum on the same LP, its sum |w| as ceiling."""
     n, full = len(patterns), (1 << (1 << len(patterns))) - 1
-    m = sum(_delta_swap(f, ~p, 1 << j) != f for j, p in enumerate(patterns))
+    m = n
+    while m and _delta_swap(f, ~patterns[m - 1], 1 << m - 1) == f:
+        m -= 1
+    prefixes = [(2 << k) - 1 for k in range(m)]
     boundary = rest = _extremal(f, patterns, swaps)
     for _ in range(m + 1):
         rest &= rest - 1
@@ -323,9 +340,10 @@ def _regular_point(
         while new:
             i = (new & -new).bit_length() - 1
             new &= new - 1
-            on = f >> i & 1  # on: -c.v <= 0, off: c.v <= -1, c = (ones, -1)
-            ones = accumulate(i >> k & 1 for k in range(m))
-            lp.add([(1 - 2 * on) * c for c in (*ones, -1)], on - 1)
+            if f >> i & 1:  # on: -c.v <= 0, off: c.v <= -1, c = (ones, -1)
+                lp.add([-(i & k).bit_count() for k in prefixes] + [1], 0)
+            else:
+                lp.add([(i & k).bit_count() for k in prefixes] + [-1], -1)
         values = _lexmin(lp, stage, ceiling) if stage else lp.solve()
         if not values:  # once f is realized, its point stays within the ceiling
             if stage:
@@ -369,6 +387,7 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
         )
     patterns = input_patterns(n)
     swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
+    flips = [(~p, 1 << j) for j, p in enumerate(patterns)]  # x_j 0 <-> 1
     tables: list[int] = []
     for f in _ordered_regular(n):
         if isinstance(_regular_point(f, patterns, swaps), NotThreshold):
@@ -378,11 +397,11 @@ def enumerate_threshold_functions(n: int) -> ThresholdEnumeration:
             new = {_delta_swap(g, m, s) for g in new for m, s in swaps} - orbit
             orbit |= new
         for g in orbit:
-            flips = [g]
-            for j, pattern in enumerate(patterns):
-                if _delta_swap(g, ~pattern, 1 << j) != g:  # x_j is essential
-                    flips += [_delta_swap(h, ~pattern, 1 << j) for h in flips]
-            tables += flips
+            flipped = [g]
+            for mask, shift in flips:
+                if _delta_swap(g, mask, shift) != g:  # x_j is essential
+                    flipped += [_delta_swap(h, mask, shift) for h in flipped]
+            tables += flipped
     tables.sort()
     return ThresholdEnumeration(num_inputs=n, count=len(tables), tables=tuple(tables))
 

@@ -120,6 +120,26 @@ def test_error_column_is_the_offending_token():
         assert (exc.value.line, exc.value.column) == position
 
 
+def test_names_follow_one_rule_in_every_position():
+    # inputs, gates, weight references and outputs take exactly the names a
+    # Netlist takes: ASCII identifiers, so a non-ASCII letter or digit that
+    # Python would accept in an identifier is refused like any other
+    for name in ("a", "_", "A_9", "class"):
+        text = f"input {name}\ngate g{name} w=1:{name}\noutput o{name} = !g{name}\n"
+        assert print_netlist(parse_netlist(text)) == text
+    for bad in ("gé", "x٣", "ﬁ", "9g", "a.b"):
+        cases = [
+            (f"input {bad}\n", "invalid name"),
+            (f"input a\ngate {bad} min a a a\n", "invalid name"),
+            (f"input a\ngate g w=1:{bad}\n", f"expected w=<int>:<ref>, got 'w=1:{bad}'"),
+            (f"input a\noutput {bad} = a\n", "invalid name"),
+            (f"input a\noutput y = !{bad}\n", "invalid reference"),
+        ]
+        for text, reason in cases:
+            with pytest.raises(ParseError, match=reason):
+                parse_netlist(text)
+
+
 def test_duplicate_name_rejected():
     with pytest.raises(ParseError) as exc:
         parse_netlist("input a\ninput a\ngate g w=-1:a\noutput y = g\n")

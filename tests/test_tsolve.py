@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import signal
 import time
 
 import pytest
@@ -697,6 +698,35 @@ def test_warm_start_pivots_weights_1_to_10(lps):
     assert isinstance(solve_threshold(tt), ThresholdRealization)
     (lp,) = lps
     assert lp.pivots <= 11
+
+
+def test_pivot_sequence_is_pinned(lps):
+    # one ordered LP per regular function, over all 1,173 of 6 inputs and
+    # every 20th of 7: the pivot and row totals of Bland's rule as it stands,
+    # which a change to the leaving row, the entering column or the rows
+    # posed moves (the broken row of the highest basic column leaving, say,
+    # takes 5,880 pivots at 6 inputs)
+    for n, step, totals in ((6, 1, (5923, 6445, 1113)), (7, 20, (15466, 17679, 1435))):
+        patterns = input_patterns(n)
+        swaps = [(patterns[j] & ~patterns[j + 1], 1 << j) for j in range(n - 1)]
+        lps.clear()
+        regular = tsolve._ordered_regular(n)[::step]
+        points = [tsolve._regular_point(f, patterns, swaps) for f in regular]
+        assert len(lps) == len(regular)
+        pivots, rows = sum(lp.pivots for lp in lps), sum(len(lp.posed) for lp in lps)
+        threshold = sum(not isinstance(point, NotThreshold) for point in points)
+        assert (pivots, rows, threshold) == totals, n
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+def test_a_cycling_dual_loop_fails_within_the_time_limit(monkeypatch):
+    # a pivot that changes nothing leaves the broken row broken, so the dual
+    # loop never ends; the per-test limit of conftest.py, re-armed short here,
+    # fails the test instead of hanging the suite
+    monkeypatch.setattr(tsolve._SeparationLP, "_pivot", lambda self, *args: None)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    with pytest.raises(TimeoutError, match="still running"):
+        solve_threshold(MAJ3)
 
 
 def test_every_infeasible_lp_has_a_farkas_row(lps, monkeypatch):
