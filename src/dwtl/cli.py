@@ -114,7 +114,7 @@ def _cmd_verify(args) -> int:
     _check_sampling(args.seed, args.vectors)  # whichever mode the netlist gets
     n_free = len(net.free_inputs)
     if kind == "adder":
-        expect_inputs, _ = constructions.adder_names(spec)
+        expect_inputs = constructions.adder_names(spec)
         if sorted(net.free_inputs) != sorted(expect_inputs):
             raise NetlistError(
                 f"netlist inputs {sorted(net.free_inputs)} do not match "

@@ -19,16 +19,11 @@ MAX_ADDER_BITS = 64
 MIN3 = SpinMinorityGate((-1, -1, -1))
 
 
-def adder_names(n_bits: int) -> tuple[list[str], list[str]]:
+def adder_names(n_bits: int) -> list[str]:
+    """The n-bit adder's input names, a0.. then b0.. then cin."""
     if not 1 <= n_bits <= MAX_ADDER_BITS:
         raise ValueError(f"n_bits must be in 1..{MAX_ADDER_BITS}, got {n_bits}")
-    inputs = (
-        [f"a{i}" for i in range(n_bits)]
-        + [f"b{i}" for i in range(n_bits)]
-        + ["cin"]
-    )
-    outputs = [f"sum{i}" for i in range(n_bits)] + ["cout"]
-    return inputs, outputs
+    return [f"a{i}" for i in range(n_bits)] + [f"b{i}" for i in range(n_bits)] + ["cin"]
 
 
 def _ripple(
@@ -41,7 +36,7 @@ def _ripple(
     gates, the last of which holds the complement of the sum bit. ``cw`` is
     the weight that reads ``carry_ref`` as a minority input.
     """
-    inputs, _ = adder_names(n_bits)
+    inputs = adder_names(n_bits)
     gates: list[GateDef] = []
     outputs: list[OutputDef] = []
     carry_ref = "cin"
@@ -99,8 +94,7 @@ def nand_adder(n_bits: int) -> Netlist:
     place of NAND makes every signal the dual of the NAND circuit's; sum and
     carry are self-dual, so the adder still adds.
     """
-    inputs, _ = adder_names(n_bits)
-    inputs = inputs + [CONST_ONE]
+    inputs = adder_names(n_bits) + [CONST_ONE]
     gates: list[GateDef] = []
     outputs: list[OutputDef] = []
 
@@ -135,7 +129,7 @@ def adder_spec_tables(
     Row ordering follows ``input_order`` (default a0..b0..cin); only feasible
     while 2*n_bits + 1 stays within the table-size ceiling.
     """
-    names, _ = adder_names(n_bits)
+    names = adder_names(n_bits)
     if input_order is None:
         input_order = tuple(names)
     if sorted(input_order) != sorted(names):

@@ -3,8 +3,9 @@
 A spin-minority gate sums weighted +/-1 spins and outputs 1 when the sum is
 positive; logic 1 maps to spin +1, logic 0 to spin -1. Negative weights invert
 their input for free. The 0/1-domain threshold gate is the form the weight
-solver emits. Both gates' truth tables, the tie check and netlist evaluation
-go through one bit-sliced weighted-sum comparator.
+solver emits. Both share one core and differ only in its bound; their truth
+tables, the tie check and netlist evaluation go through one bit-sliced
+weighted-sum comparator, whose one constant source is the row mask object.
 """
 
 from __future__ import annotations
@@ -34,18 +35,18 @@ def _weighted_at_least(
     fan-in and log sum|w|, not with the number of rows. Every source must lie
     within ``mask``.
 
-    A source that is 0 or is the ``mask`` object itself (a pinned input) is a
-    constant: it leaves the sum, and where y_j = 1 it lowers ``bound`` by
-    |w_j|. It is found by identity, in O(1); a source that only equals
-    ``mask`` is summed like any other. A bound of 1 over what is left is then
-    one OR pass, and a bound equal to the live total one AND pass.
+    A source that is the ``mask`` object itself (a pinned input) is the one
+    constant: it leaves the sum, and where w_j > 0 it lowers ``bound`` by w_j.
+    It is found by identity, in O(1); any other source, 0 or an equal copy of
+    ``mask`` included, is summed. A bound of 1 over what is left is then one
+    OR pass, and a bound equal to the live total one AND pass.
 
     If negative weights outweigh the rest, sum(|w_j| * y_j) >= bound is read
     as not sum(|w_j| * (1 - y_j)) >= total - bound + 1, so that only the
     smaller sign group is complemented, and the result once, at the end.
     """
-    for src in srcs:
-        if src is mask or not src:
+    for src in srcs:  # a plain loop: any() over a generator costs a frame per call
+        if src is mask:
             weights, srcs, bound = _fold(weights, srcs, mask, bound)
             break
     total = sum(map(abs, weights))
@@ -98,16 +99,15 @@ def _weighted_at_least(
 def _fold(
     weights: Sequence[int], srcs: Sequence[int], mask: int, bound: int
 ) -> tuple[list[int], list[int], int]:
-    """The weights and sources left once each 0 or ``mask`` source leaves the
-    sum, and ``bound`` less |w_j| for each of those with y_j = 1."""
+    """The weights and sources left once each ``mask`` source leaves the sum,
+    and ``bound`` less w_j for each of those with w_j > 0 (y_j = 1)."""
     live_w, live_srcs = [], []
     for w, src in zip(weights, srcs):
-        if src is mask or not src:
-            if (src is mask) is (w > 0):  # y_j = 1
-                bound -= abs(w)
-        else:
+        if src is not mask:
             live_w.append(w)
             live_srcs.append(src)
+        elif w > 0:
+            bound -= w
     return live_w, live_srcs, bound
 
 
@@ -127,7 +127,27 @@ def _check_weights(weights: Sequence[int], nonzero: bool) -> None:
             raise ValueError(f"weights must be {kind}, got {w!r}")
 
 
-class SpinMinorityGate(Record):
+class _WeightedGate:
+    """Both gates' core: output 1 where sum(|w_j| * y_j) >= ``_bound``. A plain
+    mixin: each ``Record`` gate class states ``weights`` and its own ``_bound``."""
+
+    @property
+    def fan_in(self) -> int:
+        return len(self.weights)
+
+    @cached_property  # weights are frozen
+    def weight_magnitude_sum(self) -> int:
+        return sum(map(abs, self.weights))
+
+    def eval_patterns(self, srcs: Sequence[int], mask: int) -> int:
+        """Packed output over packed input patterns; each lies within ``mask``."""
+        return _weighted_at_least(self.weights, srcs, mask, self._bound)
+
+    def truth_table(self) -> TruthTable:
+        return TruthTable(self.fan_in, self.eval_patterns(*_all_rows(self.fan_in)))
+
+
+class SpinMinorityGate(_WeightedGate, Record):
     """Gate over +/-1 spins: output is 1 iff the weighted spin sum is positive.
 
     With all weights -1 this is the plain minority function; a weight of
@@ -145,37 +165,18 @@ class SpinMinorityGate(Record):
         # a tie row has sum(|w_j| * y_j) = sum|w_j| / 2; sum|w_j| has sum(w_j)'s parity
         if sum(self.weights) % 2 == 0:
             srcs, mask = _all_rows(self.fan_in)
-            half = self.weight_magnitude_sum // 2
-            ties = _weighted_at_least(self.weights, srcs, mask, half)
+            ties = _weighted_at_least(self.weights, srcs, mask, self._bound - 1)
             ties ^= self.eval_patterns(srcs, mask)
             if ties:
                 tie = assignment_of((ties & -ties).bit_length() - 1, self.fan_in)
                 raise TieError(f"tie at assignment {tie}", assignment=tie)
 
-    @property
-    def fan_in(self) -> int:
-        return len(self.weights)
-
-    @cached_property  # read by every evaluation; weights are frozen
-    def weight_magnitude_sum(self) -> int:
-        return sum(map(abs, self.weights))
-
-    def eval_patterns(self, srcs: Sequence[int], mask: int) -> int:
-        """Packed output over packed input patterns: 1 where the spin sum is positive.
-
-        With y_j the input, complemented where w_j < 0, the spin sum is
-        positive iff sum(|w_j| * y_j) > sum(|w_j|) / 2; the constructor has
-        refused every gate that can tie. Every source must lie within ``mask``.
-        """
-        return _weighted_at_least(
-            self.weights, srcs, mask, self.weight_magnitude_sum // 2 + 1
-        )
-
-    def truth_table(self) -> TruthTable:
-        return TruthTable(self.fan_in, self.eval_patterns(*_all_rows(self.fan_in)))
+    @cached_property  # the spin sum is positive iff sum(|w_j| * y_j) > sum|w_j| / 2
+    def _bound(self) -> int:
+        return self.weight_magnitude_sum // 2 + 1
 
 
-class ThresholdGate(Record):
+class ThresholdGate(_WeightedGate, Record):
     """0/1-domain gate: output 1 iff sum(w_i * x_i) >= threshold."""
 
     weights: tuple[int, ...]
@@ -186,17 +187,6 @@ class ThresholdGate(Record):
         if type(self.threshold) is not int:
             raise ValueError(f"threshold must be an integer, got {self.threshold!r}")
 
-    @property
-    def fan_in(self) -> int:
-        return len(self.weights)
-
-    @property
-    def weight_magnitude_sum(self) -> int:
-        return sum(abs(w) for w in self.weights)
-
-    def truth_table(self) -> TruthTable:
-        """sum(w_j * x_j) >= T iff sum(|w_j| * y_j) >= T + sum of |w_j| over w_j < 0."""
-        bound = self.threshold - sum(w for w in self.weights if w < 0)
-        srcs, mask = _all_rows(self.fan_in)
-        bits = _weighted_at_least(self.weights, srcs, mask, bound)
-        return TruthTable(self.fan_in, bits)
+    @cached_property  # sum(w_j * x_j) >= T iff sum(|w_j| * y_j) >= T - sum of w_j < 0
+    def _bound(self) -> int:
+        return self.threshold - sum(w for w in self.weights if w < 0)

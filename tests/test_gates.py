@@ -235,8 +235,8 @@ def test_weighted_at_least_matches_row_sums_on_wide_operands():
     # each sign split is drawn, since more negative than positive magnitude
     # takes the complemented branch and the rest the direct one. Constant
     # sources, 0 and the ``mask`` object itself, are put in at random places
-    # with every sign and magnitude; the kernel folds them into its bound,
-    # and sums an equal copy of ``mask`` like any other source
+    # with every sign and magnitude; the kernel folds the ``mask`` object into
+    # its bound, and sums 0 and an equal copy of ``mask`` like any other source
     rng = random.Random(29)
     magnitudes = [0, 1, 2, 3, 5, 8, 1 << 40]
     splits = {"negative": 0, "equal": 0, "positive": 0}
@@ -273,7 +273,8 @@ def test_weighted_at_least_matches_row_sums_on_wide_operands():
             for v in range(width)
         ]
         total = sum(map(abs, weights))
-        # the last two are a folded bound of 1 and of the live total
+        # the last two are a folded bound of 1 and of the live total where
+        # every constant source is the ``mask`` object
         for bound in (
             -5, 0, 1, total // 2, total // 2 + 1, total, total + 1,
             ones + 1, ones + live_total,
@@ -281,8 +282,40 @@ def test_weighted_at_least_matches_row_sums_on_wide_operands():
             got = _weighted_at_least(weights, srcs, mask, bound)
             assert got == sum(1 << v for v, r in enumerate(row_sums) if r >= bound)
     assert splits == {"negative": 50, "equal": 50, "positive": 50}
-    kinds = ((False, True), (True, True), (True, False))  # (== mask, folded): 0, mask, copy
+    # (== mask, is the mask object or 0): 0, the mask object, an equal copy
+    kinds = ((False, True), (True, True), (True, False))
     assert folded == {(*kind, sign) for kind in kinds for sign in (-1, 0, 1)}
+
+
+def test_both_gates_evaluate_through_one_core_on_wide_operands():
+    # eval_patterns on packed operands of up to 300 rows, some sources 0 or
+    # the ``mask`` object itself: a threshold gate against a row-by-row sum,
+    # and a tie-free spin gate against its 0/1-domain form
+    rng = random.Random(31)
+    magnitudes = [0, 1, 2, 3, 5, 8, 1 << 40]
+    pinned = tie_free = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        width = rng.randint(1, 300)
+        mask = (1 << width) - 1
+        srcs = [rng.choice((mask, rng.getrandbits(width), 0)) for _ in range(n)]
+        pinned += any(src is mask for src in srcs)
+        rows = [tuple((src >> v) & 1 for src in srcs) for v in range(width)]
+
+        weights = tuple(rng.choice(magnitudes) * rng.choice((-1, 1)) for _ in range(n))
+        sums = [sum(w * b for w, b in zip(weights, x)) for x in rows]
+        for t in (min(sums) - 1, min(sums), rng.choice(sums), max(sums), max(sums) + 1):
+            got = ThresholdGate(weights, t).eval_patterns(srcs, mask)
+            want = [threshold_eval(weights, t, x) for x in rows]
+            assert got == sum(b << v for v, b in enumerate(want))
+
+        weights = tuple(rng.choice(magnitudes[1:]) * rng.choice((-1, 1)) for _ in range(n))
+        if 0 not in spin_sums(weights):
+            g = SpinMinorityGate(weights)
+            want = to_threshold(g).eval_patterns(srcs, mask)
+            assert g.eval_patterns(srcs, mask) == want
+            tie_free += 1
+    assert 0 < pinned < 150 and 0 < tie_free < 150
 
 
 def test_sweeps_above_the_ceiling_refused():

@@ -383,14 +383,15 @@ def test_solve_ten_inputs_in_seconds(weights, threshold):
     assert res.gate.truth_table() == tt
 
 
-def _minimize_unrestricted(tt):
-    # every weight in [-B, B], as before the polarities fixed the signs
+def _minimize_in_boxes(tt, box):
+    # iterative deepening on the per-weight bound B over the weights box(B):
+    # the first minimum found with sum|w| <= B + 1 is global
     n = tt.num_inputs
     B = 0
     while True:
         B += 1
         best = None
-        for w in itertools.product(range(-B, B + 1), repeat=n):
+        for w in box(B):
             s = sum(map(abs, w))
             sums = [0]
             for wj in w:
@@ -406,6 +407,14 @@ def _minimize_unrestricted(tt):
                 best = (s, w, max_off + 1)
         if best is not None and best[0] <= B + 1:
             return best
+
+
+def _minimize_unrestricted(tt):
+    # every weight in [-B, B], as before the polarities fixed the signs
+    n = tt.num_inputs
+    return _minimize_in_boxes(
+        tt, lambda B: itertools.product(range(-B, B + 1), repeat=n)
+    )
 
 
 def test_minimize_matches_unrestricted_search():
@@ -421,31 +430,14 @@ def test_minimize_matches_unrestricted_search():
 
 
 def _minimize_by_box(tt):
-    # iterative deepening on the per-weight bound B, signs fixed by the
-    # polarities: the first minimum found with sum|w| <= B + 1 is global
-    n = tt.num_inputs
+    # signs fixed by the polarities
     signs = polarities(tt)
-    B = 0
-    while True:
-        B += 1
-        best = None
+
+    def box(B):
         signed = {"+": range(0, B + 1), "-": range(-B, 1), "0": (0,)}
-        for w in itertools.product(*(signed[p] for p in signs)):
-            s = sum(map(abs, w))
-            sums = [0]
-            for wj in w:
-                sums += [v + wj for v in sums]
-            min_on = n * B + 1
-            max_off = -n * B - 1
-            for i, v in enumerate(sums):
-                if (tt.bits >> i) & 1:
-                    min_on = min(min_on, v)
-                else:
-                    max_off = max(max_off, v)
-            if max_off < min_on and (best is None or (s, w, max_off + 1) < best):
-                best = (s, w, max_off + 1)
-        if best is not None and best[0] <= B + 1:
-            return best
+        return itertools.product(*(signed[p] for p in signs))
+
+    return _minimize_in_boxes(tt, box)
 
 
 def test_minimize_matches_box_search():
