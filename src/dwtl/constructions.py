@@ -1,9 +1,9 @@
 """Generators for the minority-gate adder circuits and a NOR2 baseline.
 
-Carry signals ride the chain in inverted form: the minority gate that would
-produce carry-out actually holds its complement, and downstream gates absorb
-the inversion by flipping the sign of the weight on that reference. Output
-inversion is a free flag on the netlist, never a gate.
+The three styles share one ripple scaffold; each states only its bit cell. The
+minority styles carry inverted: the gate that would produce carry-out holds its
+complement, which downstream gates absorb by flipping the sign of the weight on
+it. Output inversion is a free flag on the netlist, never a gate.
 """
 
 from __future__ import annotations
@@ -27,60 +27,57 @@ def adder_names(n_bits: int) -> list[str]:
 
 
 def _ripple(
-    n_bits: int, sum_cell: Callable[[int, int, str], list[GateDef]]
+    n_bits: int, cell: Callable[[int, str], tuple[list[GateDef], str, str]],
+    invert: bool = True, pinned: tuple[str, ...] = (),
 ) -> Netlist:
-    """Carry chain shared by the minority-gate adders.
+    """The one ripple scaffold behind every adder style.
 
-    Bit i's gate g1_i = MIN3(a_i, b_i, carry) holds the complement of
-    carry-out; ``sum_cell(i, cw, carry_ref)`` returns the bit's remaining
-    gates, the last of which holds the complement of the sum bit. ``cw`` is
-    the weight that reads ``carry_ref`` as a minority input.
-    """
-    inputs = adder_names(n_bits)
+    ``cell(i, carry)`` returns bit i's gates, the signal ``sum{i}`` reads and
+    the carry bit i + 1 reads; bit 0 reads ``cin``, and ``cout`` the last one.
+    Styles differ only in their cell, in ``invert`` on every output and in the
+    ``pinned`` inputs after the adder's own."""
+    inputs = tuple(adder_names(n_bits)) + pinned
     gates: list[GateDef] = []
     outputs: list[OutputDef] = []
-    carry_ref = "cin"
-    carry_direct = True  # whether carry_ref holds the carry or its complement
+    carry = "cin"
     for i in range(n_bits):
-        cw = -1 if carry_direct else 1
-        g1 = f"g1_{i}"
-        gates.append(
-            GateDef(g1, SpinMinorityGate((-1, -1, cw)), (f"a{i}", f"b{i}", carry_ref))
-        )
-        gates += sum_cell(i, cw, carry_ref)
-        outputs.append(OutputDef(f"sum{i}", gates[-1].name, invert=True))
-        carry_ref = g1  # holds the complement of carry-out
-        carry_direct = False
-    outputs.append(OutputDef("cout", carry_ref, invert=True))
-    return Netlist(tuple(inputs), tuple(gates), tuple(outputs))
+        bit_gates, sum_ref, carry = cell(i, carry)
+        gates += bit_gates
+        outputs.append(OutputDef(f"sum{i}", sum_ref, invert))
+    outputs.append(OutputDef("cout", carry, invert))
+    return Netlist(inputs, tuple(gates), tuple(outputs))
+
+
+def _carry_gate(i: int, carry: str) -> tuple[GateDef, int]:
+    """Bit i's g1_i = MIN3(a_i, b_i, carry), which holds carry-out's complement, and
+    its weight on ``carry``: -1 on ``cin`` at bit 0, +1 on g1_{i-1}'s complement."""
+    cw = -1 if i == 0 else 1
+    gate = SpinMinorityGate((-1, -1, cw))
+    return GateDef(f"g1_{i}", gate, (f"a{i}", f"b{i}", carry)), cw
 
 
 def minority_adder(n_bits: int) -> Netlist:
     """Ripple adder from three-gate minority blocks (three gates per bit)."""
 
-    def sum_cell(i: int, cw: int, carry_ref: str) -> list[GateDef]:
-        g1, g2 = f"g1_{i}", f"g2_{i}"
-        return [
-            GateDef(g2, MIN3, (f"a{i}", f"b{i}", g1)),
-            GateDef(f"g3_{i}", SpinMinorityGate((cw, -1, 1)), (carry_ref, g1, g2)),
-        ]
+    def cell(i: int, carry: str) -> tuple[list[GateDef], str, str]:
+        g1, cw = _carry_gate(i, carry)
+        g2 = GateDef(f"g2_{i}", MIN3, (f"a{i}", f"b{i}", g1.name))
+        g3 = GateDef(f"g3_{i}", SpinMinorityGate((cw, -1, 1)), (carry, g1.name, g2.name))
+        return [g1, g2, g3], g3.name, g1.name
 
-    return _ripple(n_bits, sum_cell)
+    return _ripple(n_bits, cell)
 
 
 def ripple_adder(n_bits: int) -> Netlist:
     """Ripple adder with two gates per bit using the double-weight sum gate."""
 
-    def sum_cell(i: int, cw: int, carry_ref: str) -> list[GateDef]:
-        return [
-            GateDef(
-                f"g2_{i}",
-                SpinMinorityGate((-1, -1, cw, -2)),
-                (f"a{i}", f"b{i}", carry_ref, f"g1_{i}"),
-            )
-        ]
+    def cell(i: int, carry: str) -> tuple[list[GateDef], str, str]:
+        g1, cw = _carry_gate(i, carry)
+        gate = SpinMinorityGate((-1, -1, cw, -2))
+        g2 = GateDef(f"g2_{i}", gate, (f"a{i}", f"b{i}", carry, g1.name))
+        return [g1, g2], g2.name, g1.name
 
-    return _ripple(n_bits, sum_cell)
+    return _ripple(n_bits, cell)
 
 
 def nand_adder(n_bits: int) -> Netlist:
@@ -94,30 +91,24 @@ def nand_adder(n_bits: int) -> Netlist:
     place of NAND makes every signal the dual of the NAND circuit's; sum and
     carry are self-dual, so the adder still adds.
     """
-    inputs = adder_names(n_bits) + [CONST_ONE]
-    gates: list[GateDef] = []
-    outputs: list[OutputDef] = []
 
-    def nor(name: str, x: str, y: str) -> str:
-        gates.append(GateDef(name, MIN3, (x, y, CONST_ONE)))
-        return name
-
-    carry = "cin"
-    for i in range(n_bits):
+    def cell(i: int, carry: str) -> tuple[list[GateDef], str, str]:
         a, b = f"a{i}", f"b{i}"
-        t1 = nor(f"t1_{i}", a, b)
-        t2 = nor(f"t2_{i}", a, t1)
-        t3 = nor(f"t3_{i}", b, t1)
-        t4 = nor(f"t4_{i}", t2, t3)  # a xnor b
-        t5 = nor(f"t5_{i}", t4, carry)
-        t6 = nor(f"t6_{i}", t4, t5)
-        t7 = nor(f"t7_{i}", carry, t5)
-        t8 = nor(f"t8_{i}", t6, t7)  # sum bit
-        t9 = nor(f"t9_{i}", t1, t5)  # carry out
-        outputs.append(OutputDef(f"sum{i}", t8))
-        carry = t9
-    outputs.append(OutputDef("cout", carry))
-    return Netlist(tuple(inputs), tuple(gates), tuple(outputs))
+        t1, t2, t3, t4, t5 = f"t1_{i}", f"t2_{i}", f"t3_{i}", f"t4_{i}", f"t5_{i}"
+        t6, t7, t8, t9 = f"t6_{i}", f"t7_{i}", f"t8_{i}", f"t9_{i}"
+        return [
+            GateDef(t1, MIN3, (a, b, CONST_ONE)),
+            GateDef(t2, MIN3, (a, t1, CONST_ONE)),
+            GateDef(t3, MIN3, (b, t1, CONST_ONE)),
+            GateDef(t4, MIN3, (t2, t3, CONST_ONE)),  # a xnor b
+            GateDef(t5, MIN3, (t4, carry, CONST_ONE)),
+            GateDef(t6, MIN3, (t4, t5, CONST_ONE)),
+            GateDef(t7, MIN3, (carry, t5, CONST_ONE)),
+            GateDef(t8, MIN3, (t6, t7, CONST_ONE)),  # sum bit
+            GateDef(t9, MIN3, (t1, t5, CONST_ONE)),  # carry out
+        ], t8, t9
+
+    return _ripple(n_bits, cell, invert=False, pinned=(CONST_ONE,))
 
 
 def adder_spec_tables(

@@ -117,8 +117,10 @@ def _all_rows(fan_in: int) -> tuple[list[int], int]:
 
 
 def _check_weights(weights: Sequence[int], nonzero: bool) -> None:
-    """Both gates' check: at least one weight, each an int (a bool would print
-    as ``w=True``), and with ``nonzero``, none of them 0."""
+    """Both gates' check: a tuple (a list could change under the gate) of ints (a
+    bool would print as ``w=True``), at least one, and with ``nonzero`` none 0."""
+    if type(weights) is not tuple:
+        raise ValueError(f"weights must be a tuple, got {type(weights).__name__}")
     if len(weights) < 1:
         raise ValueError("gate needs at least one input")
     for w in weights:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -22,6 +23,7 @@ from dwtl.constructions import (
     ripple_adder,
 )
 from dwtl.table import assignment_of, input_patterns
+from dwtl.textio import print_netlist
 from tests_util import SUM4, spin_eval
 
 
@@ -206,3 +208,17 @@ def test_random_vectors_match_python_arithmetic():
         out = net.evaluate(x)
         total = sum(out[f"sum{i}"] << i for i in range(8)) + (out["cout"] << 8)
         assert total == a + b + cin
+
+
+@pytest.mark.parametrize(
+    "builder, digest",
+    [
+        (minority_adder, "cb652e8750b37c21"),
+        (ripple_adder, "22e21732e8c502ba"),
+        (nand_adder, "c2aff9548f3addb0"),
+    ],
+)
+def test_every_generator_prints_its_pinned_text_at_1_to_64_bits(builder, digest):
+    # sha256 of print_netlist(builder(bits)) for bits 1..64, concatenated in order
+    text = "".join(print_netlist(builder(bits)) for bits in range(1, 65))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

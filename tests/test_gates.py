@@ -61,6 +61,19 @@ def test_non_integer_weights_and_thresholds_rejected():
     assert ThresholdGate((0, 1), 1).truth_table().bits == 0b1100
 
 
+def test_weights_must_be_a_tuple():
+    # a list stays the caller's: appending to it would change a built gate
+    # (an even-sum gate that ties, with a stale magnitude sum and no hash)
+    for bad in ([1, 1, 1], range(1, 4)):
+        with pytest.raises(ValueError, match="weights must be a tuple"):
+            SpinMinorityGate(bad)
+        with pytest.raises(ValueError, match="weights must be a tuple"):
+            ThresholdGate(bad, 2)
+    assert SpinMinorityGate((1, 1, 1)).truth_table().bits == 0b11101000
+    assert ThresholdGate((1, 1, 1), 2).truth_table().bits == 0b11101000
+    assert hash(SpinMinorityGate((1, 1, 1))) == hash(SpinMinorityGate((1, 1, 1)))
+
+
 def test_min3_table():
     # hand-enumerated: output 1 at rows 000,001,010,100
     assert MIN3.truth_table().bits == 0x17
